@@ -91,11 +91,6 @@ def companion(s: State) -> State:
     return State(s.value ^ 1, s.n)
 
 
-def left_shift(s: State) -> State:
-    """One cyclic left rotation."""
-    return State(rotate_left_value(s.value, s.n, 1), s.n)
-
-
 def weight(s: State) -> int:
     """Number of ones."""
     return s.value.bit_count()

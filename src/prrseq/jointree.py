@@ -15,16 +15,8 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import State
-from .registers import (
-    Cycle,
-    CycleKind,
-    OrderOutOfRangeError,
-    decompose,
-    prr_step_value,
-)
+from .registers import Cycle, CycleKind, check_order, decompose, prr_step_value
 from .rules import CriticalPredicate, RuleKind, RuleSpec, critical_predicate
-
-MAX_TREE_ORDER = 20
 
 
 class NotPairedError(ValueError):
@@ -144,10 +136,7 @@ def extract_tree(
     pairs do not form one tree spanning every cycle.
     """
     n = spec.n
-    if n > MAX_TREE_ORDER:
-        raise OrderOutOfRangeError(
-            f"tree extraction supports n <= {MAX_TREE_ORDER}, got {n}"
-        )
+    check_order(n, "tree")
     if critical is None:
         critical = critical_predicate(spec)
     nodes, index_of = _cycle_index(n)

@@ -8,14 +8,11 @@ the generator and the theory rather than assuming it.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .registers import OrderOutOfRangeError
+from .registers import check_order
 from .rules import RuleKind, RuleSpec, exponent_period, generate_sequence
-
-MAX_ORACLE_ORDER = 24
 
 
 class LengthMismatchError(ValueError):
@@ -27,10 +24,7 @@ class NotDeBruijnError(ValueError):
 
 
 def _check_bits(bits: str, n: int) -> None:
-    if not 1 <= n <= MAX_ORACLE_ORDER:
-        raise OrderOutOfRangeError(
-            f"window scan supports 1 <= n <= {MAX_ORACLE_ORDER}, got {n}"
-        )
+    check_order(n, "window")
     if len(bits) != 1 << n:
         raise LengthMismatchError(
             f"order {n} needs {1 << n} bits, got {len(bits)}"
@@ -74,14 +68,6 @@ def canonical_form(bits: str, n: int) -> str:
         )
     idx = (bits + bits[:n]).index("0" * n)
     return bits[idx:] + bits[:idx]
-
-
-def lcm_range(m: int) -> int:
-    """Least common multiple of 1..m.  Exact for any m; Python integers
-    are unbounded, so there is no overflow to guard against."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return math.lcm(*range(1, m + 1))
 
 
 def all_specs(kind: RuleKind, n: int) -> Iterator[RuleSpec]:
@@ -176,10 +162,7 @@ def enumerate_family(kind: RuleKind, n: int) -> FamilyReport:
     Accepts the kind as a RuleKind member or its string value.
     """
     kind = RuleKind(kind)
-    if not 3 <= n <= 11:
-        raise OrderOutOfRangeError(
-            f"family enumeration supports 3 <= n <= 11, got {n}"
-        )
+    check_order(n, "family")
     entries = []
     for spec in all_specs(kind, n):
         record = generate_sequence(spec)

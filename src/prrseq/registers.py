@@ -16,8 +16,16 @@ from typing import Iterator, List, NamedTuple, Tuple
 
 from .core import MAX_LENGTH, State
 
-MIN_ORDER = 3
-MAX_DECOMPOSE_ORDER = 24
+# Supported orders, (lo, hi) inclusive, for each operation.  Generation is
+# capped by the state width; whole-register operations by their O(2^n)
+# tables, and family enumeration by the lcm(1..n-2) family sizes.
+ORDER_LIMITS = {
+    "rule": (3, MAX_LENGTH),
+    "decompose": (3, 24),
+    "window": (1, 24),
+    "tree": (3, 20),
+    "family": (3, 11),
+}
 
 
 class OrderOutOfRangeError(ValueError):
@@ -29,34 +37,30 @@ class CycleKind(Enum):
     CCR = "ccr"
 
 
-def _check_order(n: int, hi: int = MAX_LENGTH) -> None:
-    if not MIN_ORDER <= n <= hi:
-        raise OrderOutOfRangeError(f"order must be in [{MIN_ORDER}, {hi}], got {n}")
+def check_order(n: int, operation: str) -> None:
+    """Raise OrderOutOfRangeError unless n is within ORDER_LIMITS[operation]."""
+    lo, hi = ORDER_LIMITS[operation]
+    if not lo <= n <= hi:
+        raise OrderOutOfRangeError(
+            f"{operation} order must be in [{lo}, {hi}], got {n}"
+        )
 
 
-def prr_next_bit_value(v: int, n: int) -> int:
-    return ((v >> (n - 1)) ^ (v >> (n - 2)) ^ v) & 1
+def prr_step_value(v: int, n: int, mask: int) -> int:
+    """Shift the n-bit value v left within mask and append the PRR
+    feedback: the parity of the oldest, second-oldest and youngest bits."""
+    b = ((v >> (n - 1)) ^ (v >> (n - 2)) ^ v) & 1
+    return ((v << 1) & mask) | b
 
 
 def prr_next_bit(s: State) -> int:
     """Parity of the oldest, second-oldest, and youngest bits."""
-    _check_order(s.n)
-    return prr_next_bit_value(s.value, s.n)
+    check_order(s.n, "rule")
+    return prr_step_value(s.value, s.n, (1 << s.n) - 1) & 1
 
 
-def pcr_next_bit(s: State) -> int:
-    """The oldest bit: the register cycles its contents."""
-    return (s.value >> (s.n - 1)) & 1
-
-
-def ccr_next_bit(s: State) -> int:
-    """Complement of the oldest bit."""
-    return ((s.value >> (s.n - 1)) & 1) ^ 1
-
-
-def prr_step_value(v: int, n: int, mask: int) -> int:
-    b = ((v >> (n - 1)) ^ (v >> (n - 2)) ^ v) & 1
-    return ((v << 1) & mask) | b
+def _cycle_kind(v: int, n: int) -> CycleKind:
+    return CycleKind.PCR if ((v >> (n - 1)) ^ v) & 1 == 0 else CycleKind.CCR
 
 
 def classify_state(s: State) -> CycleKind:
@@ -66,9 +70,8 @@ def classify_state(s: State) -> CycleKind:
     PCR or CCR cycle; which one is visible in any single member: PCR
     exactly when the oldest and youngest bits agree.  Constant on cycles.
     """
-    _check_order(s.n)
-    agree = ((s.value >> (s.n - 1)) ^ s.value) & 1 == 0
-    return CycleKind.PCR if agree else CycleKind.CCR
+    check_order(s.n, "rule")
+    return _cycle_kind(s.value, s.n)
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,8 @@ class Cycle:
     def states(self) -> Iterator[State]:
         """The distinct states, starting at the representative."""
         n = self.representative.n
-        mask = (1 << n) - 1
-        v = self.representative.value
-        for _ in range(self.period):
+        for v in self.state_values():
             yield State(v, n)
-            v = prr_step_value(v, n, mask)
 
     def state_values(self) -> Iterator[int]:
         n = self.representative.n
@@ -128,7 +128,7 @@ def decompose(n: int) -> CycleStructure:
     on each cycle is its least member and serves as the representative.
     Within each kind, cycles come out sorted by representative.
     """
-    _check_order(n, MAX_DECOMPOSE_ORDER)
+    check_order(n, "decompose")
     size = 1 << n
     mask = size - 1
     visited = bytearray(size)
@@ -143,9 +143,9 @@ def decompose(n: int) -> CycleStructure:
             visited[v] = 1
             period += 1
             v = prr_step_value(v, n, mask)
-        pcr_type = ((v0 >> (n - 1)) ^ v0) & 1 == 0
-        cyc = Cycle(State(v0, n), CycleKind.PCR if pcr_type else CycleKind.CCR, period)
-        (pcr if pcr_type else ccr).append(cyc)
+        kind = _cycle_kind(v0, n)
+        cyc = Cycle(State(v0, n), kind, period)
+        (pcr if kind is CycleKind.PCR else ccr).append(cyc)
     return CycleStructure(n, tuple(pcr), tuple(ccr))
 
 
@@ -177,7 +177,7 @@ def count_cycles(n: int) -> CycleCounts:
     phi(d) 2^(m/d), and the CCR-type count is (1/2m) the same sum
     restricted to odd d.  Exact integer arithmetic throughout.
     """
-    _check_order(n)
+    check_order(n, "rule")
     m = n - 1
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     z = sum(_totient(d) * (1 << (m // d)) for d in divisors) // m

@@ -29,8 +29,8 @@ from enum import Enum
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .canonical import is_conecklace_value, is_necklace_value
-from .core import MAX_LENGTH, State, lambda_rotate_value, theta_rotate_value
-from .registers import MIN_ORDER, prr_next_bit_value
+from .core import State, lambda_rotate_value, theta_rotate_value
+from .registers import ORDER_LIMITS, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
 TailSelector = Callable[[int], bool]
@@ -78,10 +78,9 @@ class RuleSpec:
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not MIN_ORDER <= self.n <= MAX_LENGTH:
-            raise InvalidSpecError(
-                f"n must be in [{MIN_ORDER}, {MAX_LENGTH}], got {self.n}"
-            )
+        lo, hi = ORDER_LIMITS["rule"]
+        if not lo <= self.n <= hi:
+            raise InvalidSpecError(f"n must be in [{lo}, {hi}], got {self.n}")
         if self.kind in (RuleKind.PSI1, RuleKind.UPSILON1):
             self._check_kset()
         elif self.kind in (RuleKind.PSI2, RuleKind.UPSILON2):
@@ -299,36 +298,15 @@ def in_critical_set(spec: RuleSpec, s: State) -> bool:
     return critical_predicate(spec)(s.value)
 
 
-def in_critical_set_sala(n: int, s: State) -> bool:
-    return in_critical_set(RuleSpec(RuleKind.SALA, n), s)
-
-
-def in_critical_set_psi1(n: int, kset: Sequence[int], s: State) -> bool:
-    return in_critical_set(RuleSpec(RuleKind.PSI1, n, kset=tuple(kset)), s)
-
-
-def in_critical_set_psi2(n: int, k: int, s: State) -> bool:
-    return in_critical_set(RuleSpec(RuleKind.PSI2, n, k=k), s)
-
-
-def in_critical_set_upsilon1(n: int, kset: Sequence[int], s: State) -> bool:
-    return in_critical_set(RuleSpec(RuleKind.UPSILON1, n, kset=tuple(kset)), s)
-
-
-def in_critical_set_upsilon2(n: int, k: int, s: State) -> bool:
-    return in_critical_set(RuleSpec(RuleKind.UPSILON2, n, k=k), s)
-
-
 def next_bit(spec: RuleSpec, s: State) -> int:
     """The bit the rule shifts in after s."""
-    _check_state(spec, s)
-    return prr_next_bit_value(s.value, s.n) ^ critical_predicate(spec)(s.value)
+    return next_state(spec, s).value & 1
 
 
 def next_state(spec: RuleSpec, s: State) -> State:
     _check_state(spec, s)
-    b = prr_next_bit_value(s.value, s.n) ^ critical_predicate(spec)(s.value)
-    return State(((s.value << 1) & ((1 << s.n) - 1)) | b, s.n)
+    v = prr_step_value(s.value, s.n, (1 << s.n) - 1) ^ critical_predicate(spec)(s.value)
+    return State(v, s.n)
 
 
 def generate(
@@ -352,15 +330,12 @@ def generate(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     critical = critical_predicate(spec)
+    step = prr_step_value  # a local name saves a global lookup per bit
     mask = (1 << n) - 1
     top = n - 1
-    second = n - 2
     for _ in range(count):
         yield (v >> top) & 1
-        b = ((v >> top) ^ (v >> second) ^ v) & 1
-        if critical(v):
-            b ^= 1
-        v = ((v << 1) & mask) | b
+        v = step(v, n, mask) ^ critical(v)
 
 
 @dataclass(frozen=True)

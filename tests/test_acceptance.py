@@ -2,8 +2,8 @@
 each.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import math
 import time
-from collections import deque
 from functools import lru_cache
 
 import pytest
@@ -13,7 +13,6 @@ from prrseq import (
     NotSpanningError,
     RuleKind,
     RuleSpec,
-    State,
     all_specs,
     classify_state,
     count_cycles,
@@ -21,14 +20,13 @@ from prrseq import (
     enumerate_family,
     extract_tree,
     family_union,
-    generate,
     generate_sequence,
     is_de_bruijn,
-    lcm_range,
     run_length_encode,
     verify_critical_set,
 )
 from prrseq.canonical import is_conecklace_value, is_necklace_value
+from prrseq.cli import ns_per_bit
 from prrseq.rules import critical_predicate
 
 
@@ -85,7 +83,7 @@ def test_criterion_03_family_sizes():
             if family(kind, n).distinct != 1 << (n - 3):
                 bad.append((kind.value, n))
         for kind in (RuleKind.PSI2, RuleKind.UPSILON2):
-            if family(kind, n).distinct != lcm_range(n - 2):
+            if family(kind, n).distinct != math.lcm(*range(1, n - 1)):
                 bad.append((kind.value, n))
     _line(3, "family-sizes", not bad, "2^(n-3) and lcm(1..n-2) for n=4..10")
     assert not bad, bad
@@ -230,23 +228,16 @@ def test_criterion_08_canonical_predicates_vs_brute_force():
     assert not bad, bad[:5]
 
 
-def _ns_per_bit(spec, bits=1 << 15, repeat=3):
-    best = None
-    for _ in range(repeat):
-        stream = generate(spec, State(0, spec.n), bits)
-        t0 = time.perf_counter_ns()
-        deque(stream, maxlen=0)
-        elapsed = time.perf_counter_ns() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best / bits
-
-
 def test_criterion_09_per_bit_cost_scales_linearly():
     orders = (8, 16, 32, 64)
-    sala = {n: _ns_per_bit(RuleSpec(RuleKind.SALA, n)) for n in orders}
+    sala = {n: ns_per_bit(RuleSpec(RuleKind.SALA, n), 1 << 15, 3) for n in orders}
     psi2 = {
-        n: _ns_per_bit(RuleSpec(RuleKind.PSI2, n, k=lcm_range(n - 2))) for n in orders
+        n: ns_per_bit(RuleSpec(RuleKind.PSI2, n, k=math.lcm(*range(1, n - 1))), 1 << 15, 3)
+        for n in orders
     }
+    print(f"\n{'n':>4s} {'sala ns/bit':>12s} {'psi2 ns/bit':>12s}")
+    for n in orders:
+        print(f"{n:>4d} {sala[n]:>12.1f} {psi2[n]:>12.1f}")
     sala_ratio = sala[64] / sala[8]
     psi2_ratio = psi2[64] / psi2[8]
     ok = sala_ratio <= 16 and psi2_ratio <= 16

@@ -1,14 +1,36 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from prrseq.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=30):
+    """The CLI in a child process, killed (and the test failed) after
+    timeout seconds."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "prrseq", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def is_one_line_error(err):
+    return err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGenerate:
@@ -107,6 +129,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "6", "--file", str(src))
         assert code == 0
 
+    @pytest.mark.parametrize("n", ["-1", "0", "25"])
+    def test_order_out_of_range_exits_3(self, capsys, monkeypatch, n):
+        monkeypatch.setattr("sys.stdin", io.StringIO("01"))
+        code, out, err = run(capsys, "verify", "--n", n)
+        assert code == 3
+        assert out == ""
+        assert is_one_line_error(err)
+
     def test_round_trip_with_generate(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "generate", "--spec", "upsilon1:n=7:kset=1,4,7")
         assert code == 0
@@ -161,6 +191,13 @@ class TestTable:
     def test_which_is_required(self, capsys):
         assert main(["table"]) == 2
 
+    @pytest.mark.parametrize("n", ["12", "2"])
+    def test_order_out_of_range_exits_3_at_once(self, n):
+        proc = run_process("table", "--which", "table1", "--n", n)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert is_one_line_error(proc.stderr)
+
 
 class TestTree:
     def test_dot_output(self, capsys):
@@ -180,3 +217,11 @@ class TestBench:
         assert code == 0
         assert "ns_per_bit=" in out
         assert "sala:n=8" in out
+
+    @pytest.mark.parametrize("flag, value", [("--bits", "0"), ("--bits", "-5"), ("--repeat", "0")])
+    def test_nonpositive_counts_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "bench", "--spec", "sala:n=8", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be >= 1, got {value}" in err
+        assert "Traceback" not in err

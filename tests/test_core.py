@@ -9,7 +9,6 @@ from prrseq import (
     complement,
     conjugate,
     lambda_rotate,
-    left_shift,
     run_length_encode,
     theta_rotate,
     weight,
@@ -93,10 +92,6 @@ class TestBitOps:
         assert str(companion(State.from_string("000101"))) == "000100"
         assert str(companion(State.from_string("000000"))) == "000001"
 
-    def test_left_shift_examples(self):
-        assert str(left_shift(State.from_string("000101"))) == "001010"
-        assert left_shift(State(0, 6)) == State(0, 6)
-
     @given(states())
     def test_involutions(self, s):
         assert complement(complement(s)) == s
@@ -108,13 +103,6 @@ class TestBitOps:
         tail_mask = (1 << (s.n - 1)) - 1
         assert conjugate(s).value & tail_mask == s.value & tail_mask
         assert conjugate(s) != s
-
-    @given(states())
-    def test_left_shift_full_cycle(self, s):
-        cur = s
-        for _ in range(s.n):
-            cur = left_shift(cur)
-        assert cur == s
 
     @given(states())
     def test_weight(self, s):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from prrseq import (
     family_union,
     find_repeated_window,
     is_de_bruijn,
-    lcm_range,
 )
 
 
@@ -93,18 +94,14 @@ class TestCanonicalForm:
 
 class TestLcmRange:
     def test_values(self):
-        assert lcm_range(1) == 1
-        assert lcm_range(4) == 12
-        assert lcm_range(10) == 2520
-        assert exponent_period(6) == lcm_range(4)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lcm_range(0)
+        assert exponent_period(3) == 1
+        assert exponent_period(6) == 12
+        assert exponent_period(12) == 2520
+        assert exponent_period(6) == math.lcm(*range(1, 5))
 
     @pytest.mark.parametrize("n", range(4, 41))
     def test_dominates_breakpoint_family_size(self, n):
-        assert lcm_range(n - 2) >= 1 << (n - 3)
+        assert exponent_period(n) >= 1 << (n - 3)
 
 
 class TestFamilies:

@@ -4,17 +4,22 @@ from hypothesis import strategies as st
 
 from prrseq import (
     CycleKind,
+    InvalidSpecError,
     OrderOutOfRangeError,
+    RuleKind,
+    RuleSpec,
     State,
-    ccr_next_bit,
     classify_state,
     count_cycles,
     decompose,
-    pcr_next_bit,
+    enumerate_family,
+    extract_tree,
+    find_repeated_window,
     prr_next_bit,
     run_length_encode,
 )
 from prrseq.core import rotate_left_value
+from prrseq.registers import ORDER_LIMITS
 
 
 def states(min_len=3, max_len=16):
@@ -30,12 +35,6 @@ class TestFeedback:
         assert prr_next_bit(State.from_string("010000")) == 1
         assert prr_next_bit(State.from_string("000001")) == 1
         assert prr_next_bit(State.from_string("110001")) == 1
-
-    def test_pcr_ccr(self):
-        assert pcr_next_bit(State.from_string("100")) == 1
-        assert pcr_next_bit(State.from_string("011")) == 0
-        assert ccr_next_bit(State.from_string("100")) == 0
-        assert ccr_next_bit(State.from_string("011")) == 1
 
     def test_prr_needs_order_three(self):
         with pytest.raises(OrderOutOfRangeError):
@@ -171,3 +170,34 @@ class TestCountCycles:
     def test_rejects_out_of_range(self):
         with pytest.raises(OrderOutOfRangeError):
             count_cycles(2)
+
+
+def _unchecked_spec(n):
+    # A sala spec at any order, past RuleSpec's own check, so the tree
+    # entry point's guard is the one under test.
+    spec = RuleSpec(RuleKind.SALA, 3)
+    object.__setattr__(spec, "n", n)
+    return spec
+
+
+# Public entry points per limits-table entry, with the error each raises.
+ENTRY_POINTS = {
+    "rule": [
+        (lambda n: RuleSpec(RuleKind.SALA, n), InvalidSpecError),
+        (count_cycles, OrderOutOfRangeError),
+    ],
+    "decompose": [(decompose, OrderOutOfRangeError)],
+    "window": [(lambda n: find_repeated_window("01", n), OrderOutOfRangeError)],
+    "tree": [(lambda n: extract_tree(_unchecked_spec(n)), OrderOutOfRangeError)],
+    "family": [(lambda n: enumerate_family(RuleKind.SALA, n), OrderOutOfRangeError)],
+}
+
+
+@pytest.mark.parametrize("operation", sorted(ORDER_LIMITS))
+def test_order_limits_are_enforced_at_each_entry_point(operation):
+    lo, hi = ORDER_LIMITS[operation]
+    for call, error in ENTRY_POINTS[operation]:
+        call(lo)
+        for n in (lo - 1, hi + 1):
+            with pytest.raises(error):
+                call(n)

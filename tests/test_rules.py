@@ -11,9 +11,6 @@ from prrseq import (
     generate,
     generate_sequence,
     in_critical_set,
-    in_critical_set_psi1,
-    in_critical_set_sala,
-    in_critical_set_upsilon2,
     is_de_bruijn,
     next_bit,
     next_state,
@@ -129,18 +126,20 @@ class TestSpecParsing:
 
 class TestCriticalSets:
     def test_sala_examples(self):
-        assert in_critical_set_sala(6, State.from_string("100010"))
-        assert in_critical_set_sala(6, State.from_string("000010"))
-        assert not in_critical_set_sala(6, State.from_string("101101"))
-        assert not in_critical_set_sala(6, State.from_string("001101"))
-        assert in_critical_set_sala(6, State.from_string("000000"))
-        assert in_critical_set_sala(6, State.from_string("111111"))
+        sala = RuleSpec(RuleKind.SALA, 6)
+        assert in_critical_set(sala, State.from_string("100010"))
+        assert in_critical_set(sala, State.from_string("000010"))
+        assert not in_critical_set(sala, State.from_string("101101"))
+        assert not in_critical_set(sala, State.from_string("001101"))
+        assert in_critical_set(sala, State.from_string("000000"))
+        assert in_critical_set(sala, State.from_string("111111"))
 
     def test_order_three_psi_and_upsilon_agree(self):
         expect = {"000", "100", "010", "110", "011", "111"}
         psi_spec = RuleSpec.parse("psi2:n=3:k=1")
         psi = {format(v, "03b") for v in range(8) if in_critical_set(psi_spec, State(v, 3))}
-        ups = {format(v, "03b") for v in range(8) if in_critical_set_upsilon2(3, 0, State(v, 3))}
+        ups_spec = RuleSpec(RuleKind.UPSILON2, 3, k=0)
+        ups = {format(v, "03b") for v in range(8) if in_critical_set(ups_spec, State(v, 3))}
         assert psi == expect
         assert ups == expect
 
@@ -288,12 +287,6 @@ class TestWholeFamiliesAreDeBruijn:
     def test_assorted_specs(self, text):
         spec = RuleSpec.parse(text)
         assert is_de_bruijn(generate_sequence(spec).bits, spec.n)
-
-    def test_in_critical_set_wrappers_agree(self):
-        spec = RuleSpec.parse("psi1:n=6:kset=1,3,6")
-        for v in range(64):
-            s = State(v, 6)
-            assert in_critical_set(spec, s) == in_critical_set_psi1(6, (1, 3, 6), s)
 
     def test_in_critical_set_rejects_wrong_length(self):
         with pytest.raises(InvalidSpecError):
