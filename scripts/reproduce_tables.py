@@ -7,7 +7,7 @@ order, marks the cross-family coincidences, and reports distinct counts.
 
 import argparse
 
-from prrseq import RuleKind, all_specs, enumerate_family, family_union, generate_sequence
+from prrseq import RuleKind, enumerate_family, family_union
 
 
 def main():
@@ -20,12 +20,11 @@ def main():
         ("upsilon", RuleKind.UPSILON1, RuleKind.UPSILON2),
     ):
         print(f"== {label} rules, n={args.n} ==")
-        for kind in (first, second):
-            for spec in all_specs(kind, args.n):
-                print(f"{spec.spec_string():32s} {generate_sequence(spec).bits}")
-        union = family_union(
-            enumerate_family(first, args.n), enumerate_family(second, args.n)
-        )
+        reports = [enumerate_family(kind, args.n) for kind in (first, second)]
+        for report in reports:
+            for e in report.entries:
+                print(f"{e.spec.spec_string():32s} {e.sequence}")
+        union = family_union(*reports)
         print(f"-- union: {union.total} sequences, {union.distinct} distinct")
         for a, b in union.collisions:
             print(f"--   {a} == {b}")

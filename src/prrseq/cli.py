@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a checked property failed, 2 malformed input or
-arguments, 3 a documented invariant was violated (order out of range,
-parameters outside the rule's domain, and so on).
+arguments, or a file that cannot be read or written, 3 a documented
+invariant was violated (order out of range, parameters outside the
+rule's domain, a full period too long to emit, and so on).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .oracle import (
     enumerate_family,
     find_repeated_window,
 )
-from .registers import OrderOutOfRangeError, check_order, decompose
+from .registers import ORDER_LIMITS, OrderOutOfRangeError, check_order, decompose
 from .rules import InvalidSpecError, RuleKind, RuleSpec, SpecSyntaxError, generate
 
 EXIT_OK = 0
@@ -50,6 +51,13 @@ def cmd_generate(args) -> int:
         start = State.from_string(args.start)
     else:
         start = State(0, spec.n)
+    # The default is a full period of 2^n bits.  Above the largest order
+    # whose full period can be verified it runs too long to be a default.
+    full_cap = ORDER_LIMITS["window"][1]
+    if args.count is None and spec.n > full_cap:
+        raise OrderOutOfRangeError(
+            f"a full period needs n <= {full_cap}, got {spec.n}; pass --count"
+        )
     count = args.count if args.count is not None else 1 << spec.n
     if count < 0:
         raise SpecSyntaxError(f"count must be >= 0, got {count}")
@@ -174,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a rule's output bits")
     p.add_argument("--spec", required=True, help="rule spec, e.g. psi2:n=6:k=1")
     p.add_argument("--start", help="start state bits (default: all zeros)")
-    p.add_argument("--count", type=int, help="bits to emit (default: 2^n)")
+    p.add_argument("--count", type=int, help="bits to emit (default: 2^n, for n <= 24)")
     p.add_argument("--format", choices=["raw", "cyclic"], default="raw")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_generate)
@@ -223,7 +231,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
         return args.func(args)
-    except SpecSyntaxError as exc:
+    except (SpecSyntaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .registers import check_order
-from .rules import RuleKind, RuleSpec, exponent_period, generate_sequence
+from .rules import RuleKind, RuleSpec, exponent_period, exponent_range, generate_sequence
 
 
 class LengthMismatchError(ValueError):
@@ -84,11 +84,8 @@ def all_specs(kind: RuleKind, n: int) -> Iterator[RuleSpec]:
         for r in range(0, n - 2):
             for combo in itertools.combinations(middle, r):
                 yield RuleSpec(kind, n, kset=(1, *combo, n))
-    elif kind is RuleKind.PSI2:
-        for k in range(1, exponent_period(n) + 1):
-            yield RuleSpec(kind, n, k=k)
     else:
-        for k in range(0, exponent_period(n)):
+        for k in exponent_range(kind, n):
             yield RuleSpec(kind, n, k=k)
 
 

@@ -24,9 +24,10 @@ lcm(1..n-2) distinct sequences per family.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .canonical import is_conecklace_value, is_necklace_value
 from .core import State, lambda_rotate_value, theta_rotate_value
@@ -62,14 +63,19 @@ def exponent_period(n: int) -> int:
     return math.lcm(*range(1, n - 1))
 
 
+def exponent_range(kind: RuleKind, n: int) -> range:
+    """Valid k at order n: 1..L for psi2, 0..L-1 for upsilon2, L = exponent_period(n)."""
+    lo = 1 if kind is RuleKind.PSI2 else 0
+    return range(lo, lo + exponent_period(n))
+
+
 @dataclass(frozen=True)
 class RuleSpec:
     """A fully parameterized successor rule.
 
     kset applies to psi1/upsilon1 and must be strictly increasing with
     first element 1, last element n, and second-largest element < n - 1.
-    k applies to psi2 (range [1, lcm(1..n-2)]) and upsilon2 (range
-    [0, lcm(1..n-2) - 1]).
+    k applies to psi2/upsilon2 and must lie in exponent_range(kind, n).
     """
 
     kind: RuleKind
@@ -106,12 +112,10 @@ class RuleSpec:
     def _check_k(self) -> None:
         if self.kset is not None or self.k is None:
             raise InvalidSpecError(f"{self.kind.value} takes k, not kset")
-        period = exponent_period(self.n)
-        lo = 1 if self.kind is RuleKind.PSI2 else 0
-        hi = period if self.kind is RuleKind.PSI2 else period - 1
-        if not lo <= self.k <= hi:
+        valid = exponent_range(self.kind, self.n)
+        if not valid[0] <= self.k <= valid[-1]:
             raise InvalidSpecError(
-                f"k must be in [{lo}, {hi}] for n={self.n}, got {self.k}"
+                f"k must be in [{valid[0]}, {valid[-1]}] for n={self.n}, got {self.k}"
             )
 
     @classmethod
@@ -161,17 +165,6 @@ def _parse_int(raw: Optional[str], field: str) -> int:
         raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}") from None
 
 
-def _bracket(kset: Sequence[int], w: int) -> int:
-    # Largest element <= w.  kset starts at 1 and w >= 1 in every caller,
-    # so there is always one.
-    best = kset[0]
-    for k in kset:
-        if k > w:
-            break
-        best = k
-    return best
-
-
 def psi_critical_predicate(n: int, selector: TailSelector) -> CriticalPredicate:
     """Critical predicate accepting states by their tail u = bits 1..n-1.
 
@@ -213,53 +206,34 @@ def upsilon_critical_predicate(n: int, selector: TailSelector) -> CriticalPredic
     return critical
 
 
-def _psi1_selector(n: int, kset: Tuple[int, ...]) -> TailSelector:
+def _tail_selector(kind: RuleKind, n: int, kset=None, k=None) -> TailSelector:
+    """The selector of a psi or upsilon rule, with its exponents tabled.
+
+    The selector accepts a tail when e(c) advances of it give a necklace;
+    c is the tail's weight for psi (lambda rotation) and its number of
+    zeros for upsilon (theta rotation).  e is computed once, for c in 1..n-1:
+
+    * psi1: the largest kset element <= c; upsilon1: one less.
+    * psi2: k is read cyclically over a cycle's weight-c tails (k and k + c
+      agree).  The accepted tail's advance orbit first hits the necklace at
+      a step congruent to k - 1 mod c, so k = 1 is a full lap of c advances.
+    * upsilon2: zero-prefixed tails have purely periodic advance orbits of
+      period c, so k is read mod c, one step behind psi2.
+
+    k may lie outside RuleSpec's range: k and k + exponent_period(n) accept
+    the same tails.
+    """
     m = n - 1
-
-    def selector(u: int) -> bool:
-        e = _bracket(kset, u.bit_count())
-        return is_necklace_value(lambda_rotate_value(u, m, e), m)
-
-    return selector
-
-
-def _psi2_selector(n: int, k: int) -> TailSelector:
-    m = n - 1
-
-    def selector(u: int) -> bool:
-        w = u.bit_count()
-        # k indexes the weight-w tails of a cycle cyclically (k and k + w
-        # agree): the accepted tail is the one whose advance orbit first
-        # hits the cycle's necklace at a step congruent to k - 1 mod w,
-        # with the k = 1 case mapping to a full lap of w advances.
-        e = (k - 2) % w + 1
-        return is_necklace_value(lambda_rotate_value(u, m, e), m)
-
-    return selector
-
-
-def _upsilon1_selector(n: int, kset: Tuple[int, ...]) -> TailSelector:
-    m = n - 1
-
-    def selector(u: int) -> bool:
-        z = m - u.bit_count()  # zeros of u, >= 1 since u starts with 0
-        e = _bracket(kset, z) - 1
-        return is_necklace_value(theta_rotate_value(u, m, e), m)
-
-    return selector
-
-
-def _upsilon2_selector(n: int, k: int) -> TailSelector:
-    m = n - 1
-
-    def selector(u: int) -> bool:
-        z = m - u.bit_count()
-        # u starts with 0, so its advance orbit is purely periodic with
-        # period z and k is read modulo z, one step behind the exponent.
-        e = (k - 1) % z
-        return is_necklace_value(theta_rotate_value(u, m, e), m)
-
-    return selector
+    exponent = {
+        RuleKind.PSI1: lambda c: kset[bisect_right(kset, c) - 1],
+        RuleKind.PSI2: lambda c: (k - 2) % c + 1,
+        RuleKind.UPSILON1: lambda c: kset[bisect_right(kset, c) - 1] - 1,
+        RuleKind.UPSILON2: lambda c: (k - 1) % c,
+    }[kind]
+    e = [0] + [exponent(c) for c in range(1, n)]  # counts start at 1
+    if kind in (RuleKind.PSI1, RuleKind.PSI2):
+        return lambda u: is_necklace_value(lambda_rotate_value(u, m, e[u.bit_count()]), m)
+    return lambda u: is_necklace_value(theta_rotate_value(u, m, e[m - u.bit_count()]), m)
 
 
 def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
@@ -278,13 +252,9 @@ def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
             return is_necklace_value(u, m) or is_conecklace_value(u, m)
 
         return critical
-    if spec.kind is RuleKind.PSI1:
-        return psi_critical_predicate(n, _psi1_selector(n, spec.kset))
-    if spec.kind is RuleKind.PSI2:
-        return psi_critical_predicate(n, _psi2_selector(n, spec.k))
-    if spec.kind is RuleKind.UPSILON1:
-        return upsilon_critical_predicate(n, _upsilon1_selector(n, spec.kset))
-    return upsilon_critical_predicate(n, _upsilon2_selector(n, spec.k))
+    psi = spec.kind in (RuleKind.PSI1, RuleKind.PSI2)
+    template = psi_critical_predicate if psi else upsilon_critical_predicate
+    return template(n, _tail_selector(spec.kind, n, spec.kset, spec.k))
 
 
 def _check_state(spec: RuleSpec, s: State) -> None:

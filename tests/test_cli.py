@@ -85,6 +85,20 @@ class TestGenerate:
         assert code == 2
         assert "start" in err
 
+    @pytest.mark.parametrize("n", ["25", "64"])
+    def test_full_period_above_the_window_cap_exits_3_at_once(self, n):
+        proc = run_process("generate", "--spec", f"sala:n={n}")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert is_one_line_error(proc.stderr)
+        assert "--count" in proc.stderr
+
+    def test_explicit_count_works_at_any_order(self, capsys):
+        code, out, _ = run(capsys, "generate", "--spec", "upsilon2:n=64:k=7", "--count", "100")
+        assert code == 0
+        bits = out.strip()
+        assert len(bits) == 100 and bits.startswith("0" * 64 + "1")
+
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
@@ -143,6 +157,30 @@ class TestVerify:
         monkeypatch.setattr("sys.stdin", io.StringIO(out))
         code, out, _ = run(capsys, "verify", "--n", "7")
         assert code == 0
+
+
+class TestFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "2", "--file", "{missing}"],
+            ["verify", "--n", "2", "--file", "{directory}"],
+            ["verify", "--n", "2", "--file", "{undecodable}"],
+            ["generate", "--spec", "sala:n=4", "--out", "{missing}/x"],
+        ],
+    )
+    def test_unreadable_or_unwritable_file_exits_2(self, capsys, tmp_path, argv):
+        undecodable = tmp_path / "bits.txt"
+        undecodable.write_bytes(b"\xff\xfe01")
+        paths = {
+            "missing": tmp_path / "missing",
+            "directory": tmp_path,
+            "undecodable": undecodable,
+        }
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert is_one_line_error(err)
 
 
 class TestDecompose:

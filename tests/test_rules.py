@@ -22,11 +22,7 @@ from prrseq import (
 )
 from prrseq.canonical import is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
-from prrseq.rules import (
-    _psi2_selector,
-    _upsilon2_selector,
-    critical_predicate,
-)
+from prrseq.rules import _tail_selector, critical_predicate, exponent_range
 
 ASSORTED = [
     "sala:n=5",
@@ -188,13 +184,50 @@ class TestCriticalSets:
                 accepted = [r for r in zero_led if crit(r << 1)]
                 assert len(accepted) == 1, (text, u)
 
+    @pytest.mark.parametrize(
+        "kind", [RuleKind.PSI1, RuleKind.PSI2, RuleKind.UPSILON1, RuleKind.UPSILON2]
+    )
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_member_per_class_above_the_window_cap(self, kind, data):
+        # The orders no whole-sequence check reaches: the selector accepts
+        # exactly one tail of a random rotation class, and the top bit
+        # never decides membership.
+        n = data.draw(st.integers(25, 64), label="n")
+        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+            middle = data.draw(st.sets(st.integers(2, n - 2)), label="middle")
+            spec = RuleSpec(kind, n, kset=(1, *sorted(middle), n))
+        else:
+            valid = exponent_range(kind, n)
+            k = data.draw(st.integers(valid[0], valid[-1]), label="k")
+            spec = RuleSpec(kind, n, k=k)
+        crit = critical_predicate(spec)
+        m, top = n - 1, 1 << (n - 1)
+        psi = kind in (RuleKind.PSI1, RuleKind.PSI2)
+        lead = 1 << (m - 1) if psi else 0  # psi words start with 1, upsilon with 0
+        u = lead | data.draw(st.integers(0, (1 << (m - 1)) - 1), label="tail")
+        rotations = {rotate_left_value(u, m, r) for r in range(m)}
+        if psi:
+            states = [r for r in rotations if r >> (m - 1)]
+        else:
+            states = [r << 1 for r in rotations if not r >> (m - 1)]
+        accepted = [v for v in states if crit(v)]
+        assert len(accepted) == 1, (spec.spec_string(), u)
+        v = data.draw(st.integers(0, (1 << n) - 1), label="state")
+        assert all(crit(w) == crit(w ^ top) for w in (v, *accepted))
+
     def test_exponent_wraps_around_its_period(self):
         # k and k + lcm(1..n-2) select the same tails; checked at the
-        # selector level because RuleSpec rejects out-of-range k
+        # selector level because RuleSpec rejects out-of-range k.  Their
+        # exponent tables differ at c = n-1, which only the all-ones psi
+        # tail and the all-zeros upsilon tail reach, and every rotation
+        # maps those to themselves: so compare accepted tails, not tables.
         m = 5
-        s1, s13 = _psi2_selector(6, 1), _psi2_selector(6, 13)
+        s1 = _tail_selector(RuleKind.PSI2, 6, k=1)
+        s13 = _tail_selector(RuleKind.PSI2, 6, k=13)
         assert all(s1(u) == s13(u) for u in range(1 << (m - 1), 1 << m))
-        t0, t12 = _upsilon2_selector(6, 0), _upsilon2_selector(6, 12)
+        t0 = _tail_selector(RuleKind.UPSILON2, 6, k=0)
+        t12 = _tail_selector(RuleKind.UPSILON2, 6, k=12)
         assert all(t0(u) == t12(u) for u in range(1 << (m - 1)))
 
 
