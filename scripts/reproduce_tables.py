@@ -3,17 +3,26 @@
 
 Prints every breakpoint-rule and exponent-rule sequence at the chosen
 order, marks the cross-family coincidences, and reports distinct counts.
+An order outside the family range is a one-line error and exit code 3,
+as in the prrseq CLI.
 """
 
 import argparse
+import sys
 
 from prrseq import RuleKind, enumerate_family, family_union
+from prrseq.registers import OrderOutOfRangeError, check_order
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=6)
     args = parser.parse_args()
+    try:
+        check_order(args.n, "family")
+    except OrderOutOfRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     for label, first, second in (
         ("psi", RuleKind.PSI1, RuleKind.PSI2),
@@ -29,7 +38,8 @@ def main():
         for a, b in union.collisions:
             print(f"--   {a} == {b}")
         print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,22 +15,36 @@ from .core import State
 def is_necklace_value(v: int, m: int) -> bool:
     """True iff the m-bit value v is <= all of its rotations.
 
-    Single scan keeping the length p of the shortest prefix that the
-    string extends periodically.  Seeing a symbol smaller than the one p
-    places back rules out every candidate; seeing a larger one restarts
-    the period at the current position.  v is a necklace iff the scan
-    survives and p divides m.
+    Word-level test.  A non-constant necklace starts with its longest
+    cyclic run of zeros and ends with a 1, so with z leading zeros v is
+    rejected if any cyclic 0-run is longer than z; otherwise only the
+    rotations starting at another run of exactly z zeros can be smaller.
+    Runs are found by shift-ANDs on the doubled complement, where string
+    index grows toward the low bits.
     """
-    p = 1
-    top = m - 1
-    for i in range(1, m):
-        a = (v >> (top - i)) & 1
-        b = (v >> (top - i + p)) & 1
-        if b > a:
+    mask = (1 << m) - 1
+    if v == 0 or v == mask:
+        return True
+    if v >> (m - 1) or not v & 1:
+        return False
+    z = m - v.bit_length()
+    x = v ^ mask
+    y = (x << m) | x
+    k = 1
+    while k < z:  # y marks where k zeros start; k grows to z by doubling
+        s = min(k, z - k)
+        y &= y << s
+        k += s
+    if y & (y << 1):  # a 0-run longer than z
+        return False
+    starts = (y >> m) & (mask >> 1)  # bit b: a run of z zeros starts at index m-1-b
+    while starts:
+        b = starts.bit_length() - 1
+        r = m - 1 - b
+        if ((v << r) | (v >> (m - r))) & mask < v:
             return False
-        if b < a:
-            p = i + 1
-    return m % p == 0
+        starts ^= 1 << b
+    return True
 
 
 def is_conecklace_value(v: int, m: int) -> bool:

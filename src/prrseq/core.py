@@ -127,10 +127,19 @@ def run_length_encode(s: State) -> RunLengthEncoding:
     return RunLengthEncoding(tuple(runs), s.n)
 
 
-def _clear_top_bits(x: int, count: int) -> int:
-    for _ in range(count):
-        x ^= 1 << (x.bit_length() - 1)
-    return x
+def _index_of_jth_one(x: int, m: int, j: int) -> int:
+    """Index, counting from the left, of the j-th 1 of the m-bit value x.
+
+    Binary search on prefix popcounts; x must have at least j ones.
+    """
+    lo, hi = 0, m - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (x >> (m - 1 - mid)).bit_count() >= j:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def lambda_rotate_value(u: int, m: int, r: int) -> int:
@@ -139,16 +148,14 @@ def lambda_rotate_value(u: int, m: int, r: int) -> int:
     One application rotates u left to just past its first 1.  Iterating
     therefore walks the ones of u cyclically: for r >= 1 the result is u
     rotated left to just past its j-th 1, where j = ((r - 1) mod w) + 1
-    and w is the weight.  That makes arbitrary exponents O(m) instead of
-    O(r), which matters because the rules take exponents up to lcm(1..m).
+    and w is the weight.  A binary search finds the j-th 1, so any r costs
+    O(log m) big-int operations; the rules take exponents up to lcm(1..m).
     """
     if r == 0:
         return u
     w = u.bit_count()
     j = (r - 1) % w + 1
-    x = _clear_top_bits(u, j - 1)
-    p = m - x.bit_length()  # index of the j-th 1, counting from the left
-    return rotate_left_value(u, m, p + 1)
+    return rotate_left_value(u, m, _index_of_jth_one(u, m, j) + 1)
 
 
 def lambda_rotate(u: State, r: int) -> State:
@@ -177,9 +184,7 @@ def theta_rotate_value(u: int, m: int, r: int) -> int:
     # depending on whether u already starts with a 0.
     start = 2 if (u >> (m - 1)) & 1 == 0 else 1
     j = (start + r - 2) % z + 1
-    x = _clear_top_bits(~u & ((1 << m) - 1), j - 1)
-    q = m - x.bit_length()  # index of the j-th 0
-    return rotate_left_value(u, m, q)
+    return rotate_left_value(u, m, _index_of_jth_one(~u & ((1 << m) - 1), m, j))
 
 
 def theta_rotate(u: State, r: int) -> State:

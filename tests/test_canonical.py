@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prrseq import State, is_conecklace, is_necklace
@@ -17,6 +17,26 @@ def brute_conecklace(s):
     return all(s <= doubled[i : i + m] for i in range(2 * m))
 
 
+@st.composite
+def generation_words(draw, lo, hi):
+    """(m, v) for m in [lo, hi], biased toward the words a word-level test
+    must compare exactly: a long leading 0-run, a short repeated block,
+    and near-periodic words (a repeated block with one bit flipped)."""
+    m = draw(st.integers(lo, hi))
+    shape = draw(st.sampled_from(["random", "zero_run", "periodic", "near_periodic"]))
+    if shape == "random":
+        return m, draw(st.integers(0, (1 << m) - 1))
+    if shape == "zero_run":
+        z = draw(st.integers(1, m - 1))
+        return m, draw(st.integers(0, (1 << (m - z)) - 1))
+    p = draw(st.integers(1, 8))
+    block = format(draw(st.integers(0, (1 << p) - 1)), f"0{p}b")
+    v = int((block * (m // p + 1))[:m], 2)
+    if shape == "near_periodic":
+        v ^= 1 << draw(st.integers(0, m - 1))
+    return m, v
+
+
 class TestIsNecklace:
     def test_examples(self):
         assert is_necklace(State.from_string("00101"))
@@ -32,7 +52,17 @@ class TestIsNecklace:
             s = format(v, f"0{m}b")
             assert is_necklace_value(v, m) == brute_necklace(s), s
 
-    @given(st.integers(13, 16).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+    # psi and sala tails are up to 63 bits; the co-necklace test hands
+    # words of up to 126 bits to is_necklace_value
+    @given(
+        st.one_of(
+            st.integers(13, 16).flatmap(
+                lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))
+            ),
+            generation_words(17, 126),
+        )
+    )
+    @settings(max_examples=400)
     def test_matches_brute_force_long(self, mv):
         m, v = mv
         assert is_necklace_value(v, m) == brute_necklace(format(v, f"0{m}b"))
@@ -60,6 +90,12 @@ class TestIsConecklace:
         for v in range(1 << m):
             s = format(v, f"0{m}b")
             assert is_conecklace_value(v, m) == brute_conecklace(s), s
+
+    @given(generation_words(17, 63))
+    @settings(max_examples=300)
+    def test_matches_brute_force_at_generation_widths(self, mv):
+        m, v = mv
+        assert is_conecklace_value(v, m) == brute_conecklace(format(v, f"0{m}b"))
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_exactly_one_per_complementing_cycle(self, m):

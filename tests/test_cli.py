@@ -4,10 +4,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prrseq.cli import main
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run(capsys, *argv):
@@ -16,15 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, timeout=30):
-    """The CLI in a child process, killed (and the test failed) after
-    timeout seconds."""
+def run_process(*argv, timeout=30, stdin="", cwd=None, program=("-m", "prrseq")):
+    """The CLI (or another program run by this interpreter) in a child
+    process, killed (and the test failed) after timeout seconds."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "prrseq", *argv],
+        [sys.executable, *program, *argv],
+        input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
 
@@ -263,3 +268,71 @@ class TestBench:
         assert out == ""
         assert f"argument {flag}: must be >= 1, got {value}" in err
         assert "Traceback" not in err
+
+
+class TestReproduceTablesScript:
+    SCRIPT = (os.path.join(ROOT, "scripts", "reproduce_tables.py"),)
+
+    @pytest.mark.parametrize("n", ["12", "2"])
+    def test_order_out_of_range_exits_3(self, n):
+        proc = run_process("--n", n, program=self.SCRIPT)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: family order must be in [3, 11], got {n}\n"
+
+
+# Argument vocabulary for the fuzz test: each subcommand with its required
+# flags, some of its optional ones, and now and then an unknown flag or a
+# stray word; each flag with good and bad values.  Valid but expensive
+# inputs (family --n 9 and up, decompose or tree near their caps, a large
+# --count) are left out, so every call fits a small time budget.
+SPECS = [
+    "sala:n=6", "psi1:n=6:kset=1,2,6", "psi2:n=7:k=5", "upsilon1:n=8:kset=1,3,8",
+    "upsilon2:n=6:k=99", "psi1:n=6:kset=3,1", "kset=3,1", "sala:n=64", "sala:n=25",
+    "sala:n=65", "sala:n=0", "psi2:n=6:k=x", "nope:n=6", "sala:n=6:k=1", "",
+]
+ORDERS = ["3", "6", "8", "12", "2", "25", "65", "-1", "0", "x"]
+FLAG_VALUES = {
+    "--spec": SPECS,
+    "--n": ORDERS,
+    "--count": ["0", "12", "65", "-1", "x"],
+    "--start": ["010011", "0101", "01x", ""],
+    "--format": ["raw", "cyclic", "x"],
+    "--kind": ["sala", "psi2", "upsilon1", "nope"],
+    "--which": ["table1", "table3", "x"],
+    "--bits": ["65", "0", "-1", "x"],
+    "--repeat": ["1", "0", "x"],
+    "--file": ["missing.txt", ".", "out.txt"],
+    "--out": ["out.txt", ".", "missing/out.txt"],
+}
+SUBCOMMAND_FLAGS = {  # (required, optional)
+    "generate": (["--spec"], ["--start", "--count", "--format", "--out"]),
+    "verify": (["--n"], ["--file"]),
+    "decompose": (["--n"], ["--out"]),
+    "family": (["--kind", "--n"], ["--out"]),
+    "table": (["--which"], ["--n", "--out"]),
+    "tree": (["--spec"], ["--out"]),
+    "bench": (["--spec"], ["--bits", "--repeat"]),
+    "frobnicate": ([], ["--n"]),
+}
+JUNK = [[], [], [], ["--bogus", "1"], ["x"]]
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_argv_exits_0_to_3_without_a_traceback(self, tmp_path_factory, data):
+        command = data.draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)), label="command")
+        required, optional = SUBCOMMAND_FLAGS[command]
+        flags = required + data.draw(
+            st.lists(st.sampled_from(optional), unique=True), label="flags"
+        )
+        argv = [command]
+        for flag in flags:
+            argv += [flag, data.draw(st.sampled_from(FLAG_VALUES[flag]), label=flag)]
+        argv += data.draw(st.sampled_from(JUNK), label="junk")
+        stdin = data.draw(st.sampled_from(["", "0011", "0001011100", "01x1"]), label="stdin")
+        cwd = tmp_path_factory.mktemp("fuzz")  # relative --out and --file land here
+        proc = run_process(*argv, timeout=20, stdin=stdin, cwd=cwd)
+        assert proc.returncode in (0, 1, 2, 3), argv
+        assert "Traceback" not in proc.stderr, argv

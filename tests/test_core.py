@@ -154,8 +154,9 @@ class TestLambdaRotate:
         with pytest.raises(ValueError):
             lambda_rotate(State(1, 5), -1)
 
-    @given(nonzero_states())
-    @settings(max_examples=200)
+    # up to the widths generation uses
+    @given(st.one_of(nonzero_states(), nonzero_states(17, 63)))
+    @settings(max_examples=300)
     def test_matches_naive_iteration(self, u):
         cur = str(u)
         for r in range(1, 2 * u.n + 3):
@@ -193,8 +194,9 @@ class TestThetaRotate:
         with pytest.raises(ValueError):
             theta_rotate(State(1, 5), -2)
 
-    @given(states())
-    @settings(max_examples=200)
+    # up to the widths generation uses
+    @given(st.one_of(states(), states(17, 63)))
+    @settings(max_examples=300)
     def test_matches_naive_iteration(self, u):
         cur = str(u)
         for r in range(1, 2 * u.n + 3):

@@ -20,7 +20,7 @@ from prrseq import (
     upsilon_critical_predicate,
     verify_critical_set,
 )
-from prrseq.canonical import is_necklace_value
+from prrseq.canonical import is_conecklace_value, is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
 from prrseq.rules import _tail_selector, critical_predicate, exponent_range
 
@@ -36,6 +36,19 @@ ASSORTED = [
     "upsilon2:n=5:k=0",
     "upsilon2:n=8:k=17",
 ]
+
+
+def draw_spec(data, kind):
+    """A random spec of the given kind at an order in [25, 64], above
+    every whole-sequence check."""
+    n = data.draw(st.integers(25, 64), label="n")
+    if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+        middle = data.draw(st.sets(st.integers(2, n - 2)), label="middle")
+        return RuleSpec(kind, n, kset=(1, *sorted(middle), n))
+    if kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+        valid = exponent_range(kind, n)
+        return RuleSpec(kind, n, k=data.draw(st.integers(valid[0], valid[-1]), label="k"))
+    return RuleSpec(kind, n)
 
 
 class TestRuleSpecValidation:
@@ -185,7 +198,8 @@ class TestCriticalSets:
                 assert len(accepted) == 1, (text, u)
 
     @pytest.mark.parametrize(
-        "kind", [RuleKind.PSI1, RuleKind.PSI2, RuleKind.UPSILON1, RuleKind.UPSILON2]
+        "kind",
+        [RuleKind.PSI1, RuleKind.PSI2, RuleKind.UPSILON1, RuleKind.UPSILON2, RuleKind.SALA],
     )
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -193,28 +207,50 @@ class TestCriticalSets:
         # The orders no whole-sequence check reaches: the selector accepts
         # exactly one tail of a random rotation class, and the top bit
         # never decides membership.
-        n = data.draw(st.integers(25, 64), label="n")
-        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
-            middle = data.draw(st.sets(st.integers(2, n - 2)), label="middle")
-            spec = RuleSpec(kind, n, kset=(1, *sorted(middle), n))
-        else:
-            valid = exponent_range(kind, n)
-            k = data.draw(st.integers(valid[0], valid[-1]), label="k")
-            spec = RuleSpec(kind, n, k=k)
+        spec = draw_spec(data, kind)
         crit = critical_predicate(spec)
+        n = spec.n
         m, top = n - 1, 1 << (n - 1)
-        psi = kind in (RuleKind.PSI1, RuleKind.PSI2)
-        lead = 1 << (m - 1) if psi else 0  # psi words start with 1, upsilon with 0
-        u = lead | data.draw(st.integers(0, (1 << (m - 1)) - 1), label="tail")
-        rotations = {rotate_left_value(u, m, r) for r in range(m)}
-        if psi:
-            states = [r for r in rotations if r >> (m - 1)]
+        if kind is RuleKind.SALA:
+            # one necklace per rotation class and one co-necklace per
+            # complement-rotation class of the tail, and both are critical
+            u = data.draw(st.integers(0, (1 << m) - 1), label="tail")
+            rotations = {rotate_left_value(u, m, r) for r in range(m)}
+            orbit = [u]
+            for _ in range(2 * m - 1):
+                w = orbit[-1]
+                orbit.append(((w << 1) & ((1 << m) - 1)) | (1 ^ (w >> (m - 1))))
+            necklaces = [r for r in rotations if is_necklace_value(r, m)]
+            conecklaces = [w for w in set(orbit) if is_conecklace_value(w, m)]
+            assert len(necklaces) == 1 and len(conecklaces) == 1, u
+            accepted = necklaces + conecklaces
+            assert all(crit(w) for w in accepted)
         else:
-            states = [r << 1 for r in rotations if not r >> (m - 1)]
-        accepted = [v for v in states if crit(v)]
-        assert len(accepted) == 1, (spec.spec_string(), u)
+            psi = kind in (RuleKind.PSI1, RuleKind.PSI2)
+            lead = 1 << (m - 1) if psi else 0  # psi words start with 1, upsilon with 0
+            u = lead | data.draw(st.integers(0, (1 << (m - 1)) - 1), label="tail")
+            rotations = {rotate_left_value(u, m, r) for r in range(m)}
+            if psi:
+                states = [r for r in rotations if r >> (m - 1)]
+            else:
+                states = [r << 1 for r in rotations if not r >> (m - 1)]
+            accepted = [v for v in states if crit(v)]
+            assert len(accepted) == 1, (spec.spec_string(), u)
         v = data.draw(st.integers(0, (1 << n) - 1), label="state")
         assert all(crit(w) == crit(w ^ top) for w in (v, *accepted))
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exactly_one_predecessor_above_the_window_cap(self, kind, data):
+        # Local bijectivity: of the two states that can precede s (they
+        # differ in the oldest bit), exactly one steps to s.
+        spec = draw_spec(data, kind)
+        n = spec.n
+        s = data.draw(st.integers(0, (1 << n) - 1), label="state")
+        candidates = (s >> 1, (s >> 1) | (1 << (n - 1)))
+        steps_to_s = [p for p in candidates if next_state(spec, State(p, n)).value == s]
+        assert len(steps_to_s) == 1, (spec.spec_string(), s)
 
     def test_exponent_wraps_around_its_period(self):
         # k and k + lcm(1..n-2) select the same tails; checked at the
