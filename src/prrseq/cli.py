@@ -1,14 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 a checked property failed, 2 malformed input or
-arguments, or a file that cannot be read or written, 3 a documented
-invariant was violated (order out of range, parameters outside the
-rule's domain, a full period too long to emit, and so on).
+Exit codes: 0 success (also when the reader closes stdout early), 1 a
+checked property failed, 2 malformed input or arguments, or a file that
+cannot be read or written, 3 a documented invariant was violated (order
+out of range, parameters outside the rule's domain, a run longer than
+MAX_BITS, and so on).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import deque
@@ -32,6 +34,15 @@ EXIT_INVARIANT = 3
 
 _KIND_CHOICES = [k.value for k in RuleKind]
 
+# The longest run generate or bench starts: a full period at the largest
+# order whose full period verify can check.
+MAX_BITS = 1 << ORDER_LIMITS["window"][1]
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if bits > MAX_BITS:
+        raise OrderOutOfRangeError(f"{what} must be at most {MAX_BITS} bits, got {bits}")
+
 
 def _write_out(text: str, path: Optional[str]) -> None:
     if path:
@@ -51,16 +62,10 @@ def cmd_generate(args) -> int:
         start = State.from_string(args.start)
     else:
         start = State(0, spec.n)
-    # The default is a full period of 2^n bits.  Above the largest order
-    # whose full period can be verified it runs too long to be a default.
-    full_cap = ORDER_LIMITS["window"][1]
-    if args.count is None and spec.n > full_cap:
-        raise OrderOutOfRangeError(
-            f"a full period needs n <= {full_cap}, got {spec.n}; pass --count"
-        )
     count = args.count if args.count is not None else 1 << spec.n
     if count < 0:
         raise SpecSyntaxError(f"count must be >= 0, got {count}")
+    _check_bits(count, "--count (default 2^n)")
     if count == 0:
         _write_out("", args.out)
         return EXIT_OK
@@ -157,6 +162,7 @@ def ns_per_bit(spec: RuleSpec, bits: int, repeat: int) -> float:
 
 def cmd_bench(args) -> int:
     spec = RuleSpec.parse(args.spec)
+    _check_bits(args.bits * args.repeat, "--bits x --repeat")
     cost = ns_per_bit(spec, args.bits, args.repeat)
     print(f"{spec.spec_string()} bits={args.bits} ns_per_bit={cost:.2f}")
     return EXIT_OK
@@ -182,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a rule's output bits")
     p.add_argument("--spec", required=True, help="rule spec, e.g. psi2:n=6:k=1")
     p.add_argument("--start", help="start state bits (default: all zeros)")
-    p.add_argument("--count", type=int, help="bits to emit (default: 2^n, for n <= 24)")
+    p.add_argument("--count", type=int, help="bits to emit (default: 2^n; at most 2^24)")
     p.add_argument("--format", choices=["raw", "cyclic"], default="raw")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_generate)
@@ -230,7 +236,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout and has what it asked for.  Point stdout
+        # at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (SpecSyntaxError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -86,9 +86,12 @@ def _designated_member(
     tail extended by 1; the upsilon-class rules mark the cycle containing
     the zero-ended relabeling of the tail; sala marks the cycle whose pair
     member steps directly onto that cycle's representative.
+
+    - psi: tail.1 is the PRR successor of exactly one member, the child.
+    - upsilon: it is lo, or for odd lo the successor of ~lo, which shares lo's cycle.
     """
+    mask = (1 << n) - 1
     if kind is RuleKind.SALA:
-        mask = (1 << n) - 1
         cands = [
             m
             for m in (lo, hi)
@@ -104,24 +107,8 @@ def _designated_member(
             f"cannot orient conjugate pair ({State(lo, n)}, {State(hi, n)})"
         )
     if kind in (RuleKind.PSI1, RuleKind.PSI2):
-        landmark = (lo << 1) | 1  # c1..c_{n-1},1
-    else:
-        if lo & 1 == 0:
-            landmark = lo  # 0,c1..c_{n-1} already ends in 0
-        else:
-            mid_mask = (1 << (n - 2)) - 1
-            mid = lo >> 1  # c1..c_{n-2}
-            c1 = (lo >> (n - 2)) & 1
-            landmark = ((mid ^ mid_mask) << 2) | c1
-    child_idx = index_of[landmark]
-    if index_of[lo] == child_idx:
-        return lo
-    if index_of[hi] == child_idx:
-        return hi
-    raise NotSpanningError(
-        f"pair ({State(lo, n)}, {State(hi, n)}) does not touch its designated "
-        f"cycle ({nodes[child_idx].representative})"
-    )
+        return lo if prr_step_value(lo, n, mask) & 1 else hi
+    return lo
 
 
 def extract_tree(
@@ -134,6 +121,9 @@ def extract_tree(
     NotPairedError if some
     critical state's conjugate is not critical, NotSpanningError if the
     pairs do not form one tree spanning every cycle.
+
+    Conjugates differ in the oldest bit, so in cycle kind: every pair
+    bridges two cycles.
     """
     n = spec.n
     check_order(n, "tree")
@@ -163,11 +153,6 @@ def extract_tree(
     parent_edge: Dict[int, TreeEdge] = {}
     for lo in pairs:
         hi = lo | top
-        if index_of[lo] == index_of[hi]:
-            raise NotSpanningError(
-                f"conjugate pair ({State(lo, n)}, {State(hi, n)}) lies inside "
-                f"one cycle ({nodes[index_of[lo]].representative})"
-            )
         member = _designated_member(spec.kind, n, lo, hi, nodes, index_of)
         other = member ^ top
         edge = TreeEdge(
@@ -182,10 +167,8 @@ def extract_tree(
                 f"two conjugate pairs"
             )
         parent_edge[edge.child] = edge
-    roots = [i for i in range(len(nodes)) if i not in parent_edge]
-    if len(roots) != 1:
-        raise NotSpanningError(f"expected one root cycle, found {len(roots)}")
-    root = roots[0]
+    # len(nodes) - 1 distinct children leave exactly one root.
+    root = next(i for i in range(len(nodes)) if i not in parent_edge)
     reached = {root}
     for i in range(len(nodes)):
         path = []
@@ -229,69 +212,40 @@ def verify_critical_set(
 
     Structural defects (unpaired states, broken tree) raise as in
     extract_tree.  Ordering defects, which are what distinguish the rule
-    families, come back in the report: psi-class and sala trees must root
-    at the all-zero cycle with every parent preceding its child by
-    representative, upsilon-class trees must root at the all-one cycle
-    and alternate cycle kinds along every edge, with each complementing
-    child placed after its grandparent anchor.
+    families, come back in the report: in psi-class and sala trees every
+    parent precedes its child by representative; in upsilon-class trees
+    each complementing child not under the root follows its grandparent
+    anchor.  The orientation guarantees the rest for any predicate:
+    - root 0^n for psi/sala: psi children hold a state ending in 1, sala tie-breaks.
+    - root 1^n for upsilon: each child holds its pair's lo < 2^(n-1), and {1^n} holds none.
+    - edges alternate cycle kinds: conjugates differ in kind.
+    - the root's one upsilon child holds 01^(n-1): the least complementing cycle.
     """
     tree = extract_tree(spec, critical)
     nodes = tree.nodes
     failures: List[str] = []
-    root_rep = nodes[tree.root].representative
     if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
-        if root_rep.value != 0:
-            failures.append(f"root is ({root_rep}), expected the all-zero cycle")
         for e in tree.edges:
             p = nodes[e.parent].representative
             c = nodes[e.child].representative
             if p.value >= c.value:
                 failures.append(f"parent ({p}) does not precede child ({c})")
     else:
-        if root_rep.value != (1 << spec.n) - 1:
-            failures.append(f"root is ({root_rep}), expected the all-one cycle")
         parent_of = {e.child: e.parent for e in tree.edges}
-        ccr_reps = [
-            node.representative.value
-            for node in nodes
-            if node.kind is CycleKind.CCR
-        ]
-        least_ccr = min(ccr_reps) if ccr_reps else None
         for e in tree.edges:
             child = nodes[e.child]
-            parent = nodes[e.parent]
-            if child.kind is parent.kind:
-                failures.append(
-                    f"edge ({child.representative}) -> ({parent.representative}) "
-                    f"does not alternate cycle kinds"
-                )
-                continue
-            if child.kind is CycleKind.CCR:
-                if e.parent == tree.root:
-                    if child.representative.value != least_ccr:
-                        failures.append(
-                            f"cycle ({child.representative}) hangs off the root "
-                            f"but is not the least complementing cycle"
-                        )
-                else:
-                    anchor = parent_of.get(e.parent)
-                    if anchor is None:
-                        failures.append(
-                            f"parent of ({child.representative}) has no anchor"
-                        )
-                    elif (
-                        nodes[anchor].representative.value
-                        >= child.representative.value
-                    ):
-                        failures.append(
-                            f"cycle ({child.representative}) does not follow its "
-                            f"parent's anchor ({nodes[anchor].representative})"
-                        )
+            if child.kind is CycleKind.CCR and e.parent != tree.root:
+                anchor = nodes[parent_of[e.parent]].representative
+                if anchor.value >= child.representative.value:
+                    failures.append(
+                        f"cycle ({child.representative}) does not follow its "
+                        f"parent's anchor ({anchor})"
+                    )
     return ValidationReport(
         spec=spec,
         cycle_count=len(nodes),
         deviation_count=2 * len(tree.edges),
-        root_representative=root_rep,
+        root_representative=nodes[tree.root].representative,
         ok=not failures,
         failures=tuple(failures),
         tree=tree,

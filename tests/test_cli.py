@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,10 @@ from prrseq.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run(capsys, *argv):
@@ -22,7 +27,6 @@ def run(capsys, *argv):
 def run_process(*argv, timeout=30, stdin="", cwd=None, program=("-m", "prrseq")):
     """The CLI (or another program run by this interpreter) in a child
     process, killed (and the test failed) after timeout seconds."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *program, *argv],
         input=stdin,
@@ -30,7 +34,7 @@ def run_process(*argv, timeout=30, stdin="", cwd=None, program=("-m", "prrseq"))
         text=True,
         timeout=timeout,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env=ENV,
     )
 
 
@@ -97,6 +101,32 @@ class TestGenerate:
         assert proc.stdout == ""
         assert is_one_line_error(proc.stderr)
         assert "--count" in proc.stderr
+
+    @pytest.mark.parametrize("count", ["16777217", "1000000000000"])
+    def test_count_above_the_bound_exits_3_at_once(self, count):
+        proc = run_process("generate", "--spec", "sala:n=6", "--count", count, timeout=20)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: --count (default 2^n) must be at most 16777216 bits, got {count}\n"
+        )
+
+    def test_reader_closing_stdout_early_exits_0_quietly(self):
+        # 2^20 bits, far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "prrseq", "generate", "--spec", "sala:n=20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=ENV,
+        )
+        try:
+            assert proc.stdout.read(10) == b"0" * 10
+            proc.stdout.close()
+            assert proc.wait(timeout=30) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_explicit_count_works_at_any_order(self, capsys):
         code, out, _ = run(capsys, "generate", "--spec", "upsilon2:n=64:k=7", "--count", "100")
@@ -270,6 +300,58 @@ class TestBench:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("bits, repeat", [("1000000000", "1"), ("8388608", "3")])
+    def test_run_above_the_bound_exits_3_at_once(self, bits, repeat):
+        proc = run_process(
+            "bench", "--spec", "sala:n=6", "--bits", bits, "--repeat", repeat, timeout=20
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        total = int(bits) * int(repeat)
+        assert proc.stderr == (
+            f"error: --bits x --repeat must be at most 16777216 bits, got {total}\n"
+        )
+
+
+def readme_examples():
+    """(command, expected stdout) for each `$ ...prrseq...` line in the
+    README's sh blocks; the expected lines run to the next blank line."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```sh\n(.*?)^```", fh.read(), re.M | re.S)
+    examples = []
+    for block in blocks:
+        for chunk in block.split("\n\n"):
+            command, *expected = chunk.strip().splitlines()
+            if command.startswith("$ ") and "prrseq" in command:
+                examples.append((command[2:], "".join(l + "\n" for l in expected)))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_example_is_found(self):
+        assert len(EXAMPLES) == 9
+
+    @pytest.mark.parametrize("command, expected", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+    def test_example_prints_what_the_readme_shows(self, command, expected):
+        python = f"{sys.executable} -m prrseq "
+        proc = subprocess.run(
+            ["bash", "-o", "pipefail", "-c", re.sub(r"\bprrseq ", python, command)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=ENV,
+        )
+        figure = r"ns_per_bit=\d+\.\d\d$"
+        assert re.sub(figure, "", proc.stdout, flags=re.M) == re.sub(
+            figure, "", expected, flags=re.M
+        )
+        assert proc.stderr == ""
+        assert proc.returncode == (1 if expected.startswith("fail:") else 0)
+
+
 class TestReproduceTablesScript:
     SCRIPT = (os.path.join(ROOT, "scripts", "reproduce_tables.py"),)
 
@@ -284,8 +366,9 @@ class TestReproduceTablesScript:
 # Argument vocabulary for the fuzz test: each subcommand with its required
 # flags, some of its optional ones, and now and then an unknown flag or a
 # stray word; each flag with good and bad values.  Valid but expensive
-# inputs (family --n 9 and up, decompose or tree near their caps, a large
-# --count) are left out, so every call fits a small time budget.
+# inputs (family --n 9 and up, decompose or tree near their caps, a run
+# just under the 2^24-bit bound) are left out, so every call fits a small
+# time budget; runs above the bound are in, since they exit 3 at once.
 SPECS = [
     "sala:n=6", "psi1:n=6:kset=1,2,6", "psi2:n=7:k=5", "upsilon1:n=8:kset=1,3,8",
     "upsilon2:n=6:k=99", "psi1:n=6:kset=3,1", "kset=3,1", "sala:n=64", "sala:n=25",
@@ -295,13 +378,13 @@ ORDERS = ["3", "6", "8", "12", "2", "25", "65", "-1", "0", "x"]
 FLAG_VALUES = {
     "--spec": SPECS,
     "--n": ORDERS,
-    "--count": ["0", "12", "65", "-1", "x"],
+    "--count": ["0", "12", "65", "-1", "x", "16777217", "1000000000000"],
     "--start": ["010011", "0101", "01x", ""],
     "--format": ["raw", "cyclic", "x"],
     "--kind": ["sala", "psi2", "upsilon1", "nope"],
     "--which": ["table1", "table3", "x"],
-    "--bits": ["65", "0", "-1", "x"],
-    "--repeat": ["1", "0", "x"],
+    "--bits": ["65", "0", "-1", "x", "1000000000"],
+    "--repeat": ["1", "0", "x", "100000000"],
     "--file": ["missing.txt", ".", "out.txt"],
     "--out": ["out.txt", ".", "missing/out.txt"],
 }

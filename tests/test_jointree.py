@@ -10,7 +10,8 @@ from prrseq import (
     extract_tree,
     verify_critical_set,
 )
-from prrseq.rules import critical_predicate
+from prrseq.jointree import _cycle_index, _designated_member
+from prrseq.rules import RuleKind, critical_predicate
 
 PASSING = [
     "sala:n=3",
@@ -25,6 +26,16 @@ PASSING = [
     "upsilon2:n=6:k=0",
     "upsilon2:n=9:k=419",
 ]
+
+
+def swapped_pair(spec, drop, add):
+    """The spec's critical set with the conjugate pair of drop (the member
+    with top bit 0) replaced by the pair of add."""
+    base = critical_predicate(spec)
+    low = (1 << (spec.n - 1)) - 1
+    drop, add = int(drop, 2), int(add, 2)
+    assert base(drop) and not base(add)
+    return lambda v: v & low == add or (base(v) and v & low != drop)
 
 
 def edge_map(tree):
@@ -115,6 +126,48 @@ class TestNegativeControls:
         with pytest.raises(NotSpanningError):
             extract_tree(ups, psi_pred)
 
+    def test_unreachable_root_detected(self):
+        spec = RuleSpec.parse("psi2:n=6:k=1")
+        with pytest.raises(NotSpanningError) as err:
+            extract_tree(spec, swapped_pair(spec, "000000", "000001"))
+        assert str(err.value) == "cycle (000001) cannot reach the root"
+
+    def test_unorientable_sala_pair_detected(self):
+        spec = RuleSpec.parse("sala:n=6")
+        with pytest.raises(NotSpanningError) as err:
+            extract_tree(spec, swapped_pair(spec, "000000", "000110"))
+        assert str(err.value) == "cannot orient conjugate pair (000110, 100110)"
+
+
+class TestOrientation:
+    def test_closed_forms_match_the_landmarks(self):
+        """Every conjugate pair (lo, hi) at n = 3..14 bridges two cycles, and
+        each closed-form child member shares its cycle with the landmark
+        the rule names: psi the tail extended by 1, upsilon the tail's
+        zero-ended relabeling (assembled bit by bit here)."""
+        for n in range(3, 15):
+            nodes, index_of = _cycle_index(n)
+            top = 1 << (n - 1)
+            mid_mask = (1 << (n - 2)) - 1
+            for lo in range(top):
+                hi = lo | top
+                assert index_of[lo] != index_of[hi]
+                psi_landmark = (lo << 1) | 1
+                if lo & 1 == 0:
+                    upsilon_landmark = lo
+                else:
+                    c1 = (lo >> (n - 2)) & 1
+                    upsilon_landmark = (((lo >> 1) ^ mid_mask) << 2) | c1
+                psi = _designated_member(RuleKind.PSI2, n, lo, hi, nodes, index_of)
+                upsilon = _designated_member(RuleKind.UPSILON2, n, lo, hi, nodes, index_of)
+                assert index_of[psi] == index_of[psi_landmark], (n, lo)
+                assert index_of[upsilon] == index_of[upsilon_landmark] == index_of[lo], (n, lo)
+            # sala orients (0^n, 10^(n-1)) away from 0^n, and 01^(n-1) lies
+            # in the least complementing cycle.
+            assert _designated_member(RuleKind.SALA, n, 0, top, nodes, index_of) == top
+            least_ccr = min(i for i, c in enumerate(nodes) if c.kind is CycleKind.CCR)
+            assert index_of[top - 1] == least_ccr
+
 
 class TestVerifyCriticalSet:
     @pytest.mark.parametrize("text", PASSING)
@@ -150,6 +203,18 @@ class TestVerifyCriticalSet:
                 assert parent.kind is CycleKind.CCR
             else:
                 assert parent.kind is CycleKind.PCR
+
+    def test_parent_after_child_reported(self):
+        spec = RuleSpec.parse("psi2:n=6:k=1")
+        report = verify_critical_set(spec, swapped_pair(spec, "000010", "001011"))
+        assert report.failures == ("parent (010110) does not precede child (000101)",)
+
+    def test_child_before_anchor_reported(self):
+        spec = RuleSpec.parse("upsilon2:n=6:k=1")
+        report = verify_critical_set(spec, swapped_pair(spec, "011101", "000101"))
+        assert report.failures == (
+            "cycle (000101) does not follow its parent's anchor (010101)",
+        )
 
     def test_summary_line(self):
         report = verify_critical_set(RuleSpec.parse("sala:n=6"))
