@@ -18,12 +18,7 @@ from typing import Optional
 
 from .core import State, ZeroStateError
 from .jointree import NotPairedError, NotSpanningError, verify_critical_set
-from .oracle import (
-    LengthMismatchError,
-    NotDeBruijnError,
-    enumerate_family,
-    find_repeated_window,
-)
+from .oracle import LengthMismatchError, enumerate_family, find_repeated_window
 from .registers import ORDER_LIMITS, OrderOutOfRangeError, check_order, decompose
 from .rules import InvalidSpecError, RuleKind, RuleSpec, SpecSyntaxError, generate
 
@@ -254,7 +249,6 @@ def main(argv=None) -> int:
         NotPairedError,
         NotSpanningError,
         LengthMismatchError,
-        NotDeBruijnError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

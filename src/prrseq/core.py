@@ -1,16 +1,16 @@
 """Register states and the two rotation operators the successor rules use.
 
-A State packs its bits into a plain int, oldest bit first: bit index 0 is
-the leftmost character of the string form and the first bit shifted out of
-the register.  Everything downstream works on these packed values, so the
-module also exposes the value-level kernels (functions taking ``(value,
-length)`` pairs) that the hot paths call directly.
+A State packs its bits into a plain int, oldest bit first: the most
+significant bit is the leftmost character of the string form and the first
+bit shifted out of the register.  Everything downstream works on these
+packed values, so the module also exposes the value-level kernels
+(functions taking ``(value, length)`` pairs) that the hot paths call
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
 
 MAX_LENGTH = 64
 
@@ -38,34 +38,8 @@ class State:
             raise ValueError(f"expected a nonempty string over 0/1, got {s!r}")
         return cls(int(s, 2), len(s))
 
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "State":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bits must be 0 or 1, got {b!r}")
-            value = (value << 1) | b
-            n += 1
-        return cls(value, n)
-
-    def bit(self, i: int) -> int:
-        """Bit at index i, counting from the oldest (leftmost) end."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for length {self.n}")
-        return (self.value >> (self.n - 1 - i)) & 1
-
-    def bits(self) -> Tuple[int, ...]:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
     def __str__(self) -> str:
         return format(self.value, f"0{self.n}b")
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits())
 
 
 def rotate_left_value(v: int, m: int, r: int) -> int:
@@ -75,56 +49,6 @@ def rotate_left_value(v: int, m: int, r: int) -> int:
         return v
     mask = (1 << m) - 1
     return ((v << r) | (v >> (m - r))) & mask
-
-
-def complement(s: State) -> State:
-    return State(s.value ^ ((1 << s.n) - 1), s.n)
-
-
-def conjugate(s: State) -> State:
-    """Flip the oldest bit.  Involution; the pair shares its last n-1 bits."""
-    return State(s.value ^ (1 << (s.n - 1)), s.n)
-
-
-def companion(s: State) -> State:
-    """Flip the youngest bit."""
-    return State(s.value ^ 1, s.n)
-
-
-def weight(s: State) -> int:
-    """Number of ones."""
-    return s.value.bit_count()
-
-
-@dataclass(frozen=True)
-class RunLengthEncoding:
-    """Maximal runs of equal bits, in order of appearance."""
-
-    runs: Tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if any(r < 1 for r in self.runs) or sum(self.runs) != self.total:
-            raise ValueError("runs must be positive and sum to the total length")
-
-    @property
-    def run_count(self) -> int:
-        return len(self.runs)
-
-
-def run_length_encode(s: State) -> RunLengthEncoding:
-    runs = []
-    prev = s.bit(0)
-    count = 0
-    for b in s.bits():
-        if b == prev:
-            count += 1
-        else:
-            runs.append(count)
-            prev = b
-            count = 1
-    runs.append(count)
-    return RunLengthEncoding(tuple(runs), s.n)
 
 
 def _index_of_jth_one(x: int, m: int, j: int) -> int:

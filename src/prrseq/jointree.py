@@ -34,7 +34,6 @@ class TreeEdge:
     child: int
     parent: int
     child_state: State
-    parent_state: State
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,10 @@ def extract_tree(
     for lo in pairs:
         hi = lo | top
         member = _designated_member(spec.kind, n, lo, hi, nodes, index_of)
-        other = member ^ top
         edge = TreeEdge(
             child=index_of[member],
-            parent=index_of[other],
+            parent=index_of[member ^ top],
             child_state=State(member, n),
-            parent_state=State(other, n),
         )
         if edge.child in parent_edge:
             raise NotSpanningError(

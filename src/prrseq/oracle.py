@@ -19,10 +19,6 @@ class LengthMismatchError(ValueError):
     """Bit string length is not 2^n."""
 
 
-class NotDeBruijnError(ValueError):
-    """Operation needs a de Bruijn sequence but the input repeats a window."""
-
-
 def _check_bits(bits: str, n: int) -> None:
     check_order(n, "window")
     if len(bits) != 1 << n:
@@ -52,22 +48,6 @@ def find_repeated_window(bits: str, n: int) -> Optional[Tuple[int, str]]:
 def is_de_bruijn(bits: str, n: int) -> bool:
     """True iff bits, read cyclically, contains every n-window once."""
     return find_repeated_window(bits, n) is None
-
-
-def canonical_form(bits: str, n: int) -> str:
-    """The rotation that starts at the unique all-zero window.
-
-    Rotations of a de Bruijn sequence are the same cyclic object; the
-    all-zero window occurs exactly once, so anchoring there picks one
-    representative per class.
-    """
-    repeat = find_repeated_window(bits, n)
-    if repeat is not None:
-        raise NotDeBruijnError(
-            f"window {repeat[1]} repeats at position {repeat[0]}"
-        )
-    idx = (bits + bits[:n]).index("0" * n)
-    return bits[idx:] + bits[:idx]
 
 
 def all_specs(kind: RuleKind, n: int) -> Iterator[RuleSpec]:

@@ -87,12 +87,6 @@ class Cycle:
     kind: CycleKind
     period: int
 
-    def states(self) -> Iterator[State]:
-        """The distinct states, starting at the representative."""
-        n = self.representative.n
-        for v in self.state_values():
-            yield State(v, n)
-
     def state_values(self) -> Iterator[int]:
         n = self.representative.n
         mask = (1 << n) - 1

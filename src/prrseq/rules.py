@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .canonical import is_conecklace_value, is_necklace_value
 from .core import State, lambda_rotate_value, theta_rotate_value
-from .registers import ORDER_LIMITS, prr_step_value
+from .registers import ORDER_LIMITS, check_order, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
 TailSelector = Callable[[int], bool]
@@ -318,7 +318,10 @@ class SequenceRecord:
 
 
 def generate_sequence(spec: RuleSpec, start: Optional[State] = None) -> SequenceRecord:
-    """One full period (2^n bits) starting from start, default all zeros."""
+    """One full period (2^n bits) starting from start, default all zeros.
+
+    A full period is capped at the window-scan order, as in the CLI."""
+    check_order(spec.n, "window")
     if start is None:
         start = State(0, spec.n)
     bits = "".join("01"[b] for b in generate(spec, start, 1 << spec.n))

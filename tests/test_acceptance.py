@@ -13,6 +13,7 @@ from prrseq import (
     NotSpanningError,
     RuleKind,
     RuleSpec,
+    State,
     all_specs,
     classify_state,
     count_cycles,
@@ -22,7 +23,6 @@ from prrseq import (
     family_union,
     generate_sequence,
     is_de_bruijn,
-    run_length_encode,
     verify_critical_set,
 )
 from prrseq.canonical import is_conecklace_value, is_necklace_value
@@ -148,19 +148,24 @@ def test_criterion_05_cycle_counts():
     assert reps_ccr == want_ccr
 
 
+def run_count(v, n):
+    """Number of maximal runs of equal bits in the n-bit value v."""
+    return ((v ^ (v >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
+
+
 def test_criterion_06_cycle_uniformity():
     bad = []
     for n in range(3, 15):
         for cyc in decompose(n).cycles:
             kinds = set()
             counts = set()
-            for s in cyc.states():
-                kinds.add(classify_state(s))
-                counts.add(run_length_encode(s).run_count)
+            for v in cyc.state_values():
+                kinds.add(classify_state(State(v, n)))
+                counts.add(run_count(v, n))
             if kinds != {cyc.kind} or len(counts) != 1:
                 bad.append((n, str(cyc.representative)))
     c2 = next(c for c in decompose(6).ccr_cycles if str(c.representative) == "000101")
-    run_counts = [run_length_encode(s).run_count for s in c2.states()]
+    run_counts = [run_count(v, 6) for v in c2.state_values()]
     ok = not bad and c2.period == 10 and run_counts == [4] * 10
     _line(6, "cycle-uniformity", ok, "kind and run count constant per cycle, n=3..14")
     assert not bad, bad[:5]

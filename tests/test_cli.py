@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -24,11 +25,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv, timeout=30, stdin="", cwd=None, program=("-m", "prrseq")):
-    """The CLI (or another program run by this interpreter) in a child
-    process, killed (and the test failed) after timeout seconds."""
+def run_process(
+    *argv, timeout=30, stdin="", cwd=None, program=(sys.executable, "-m", "prrseq")
+):
+    """The CLI (or another program) in a child process, killed (and the
+    test failed) after timeout seconds."""
     return subprocess.run(
-        [sys.executable, *program, *argv],
+        [*program, *argv],
         input=stdin,
         capture_output=True,
         text=True,
@@ -353,7 +356,7 @@ class TestReadmeExamples:
 
 
 class TestReproduceTablesScript:
-    SCRIPT = (os.path.join(ROOT, "scripts", "reproduce_tables.py"),)
+    SCRIPT = (sys.executable, os.path.join(ROOT, "scripts", "reproduce_tables.py"))
 
     @pytest.mark.parametrize("n", ["12", "2"])
     def test_order_out_of_range_exits_3(self, n):
@@ -361,6 +364,14 @@ class TestReproduceTablesScript:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == f"error: family order must be in [3, 11], got {n}\n"
+
+    def test_reader_closing_stdout_early_exits_0_quietly(self):
+        # unbuffered, so the script is still writing after head has gone
+        command = f"PYTHONUNBUFFERED=1 {shlex.join(self.SCRIPT)} | head -1"
+        proc = run_process("-o", "pipefail", "-c", command, program=("bash",))
+        assert proc.returncode == 0
+        assert proc.stdout == "== psi rules, n=6 ==\n"
+        assert proc.stderr == ""
 
 
 # Argument vocabulary for the fuzz test: each subcommand with its required

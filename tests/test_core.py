@@ -2,17 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prrseq import (
-    State,
-    ZeroStateError,
-    companion,
-    complement,
-    conjugate,
-    lambda_rotate,
-    run_length_encode,
-    theta_rotate,
-    weight,
-)
+from prrseq import State, ZeroStateError, lambda_rotate, theta_rotate
 from prrseq.core import rotate_left_value
 
 
@@ -47,16 +37,6 @@ class TestState:
         assert (s.value, s.n) == (5, 6)
         assert str(s) == "000101"
 
-    def test_from_bits(self):
-        assert State.from_bits([1, 0, 1]) == State(5, 3)
-
-    def test_bit_indexing_is_oldest_first(self):
-        s = State.from_string("1000")
-        assert s.bit(0) == 1
-        assert s.bit(3) == 0
-        assert s.bits() == (1, 0, 0, 0)
-        assert list(s) == [1, 0, 0, 0]
-
     def test_rejects_bad_lengths_and_values(self):
         with pytest.raises(ValueError):
             State(0, 0)
@@ -70,44 +50,9 @@ class TestState:
             State.from_string("01x1")
         with pytest.raises(ValueError):
             State.from_string("")
-        with pytest.raises(ValueError):
-            State.from_bits([0, 2])
-        with pytest.raises(IndexError):
-            State(0, 3).bit(3)
-
-    def test_len(self):
-        assert len(State(0, 7)) == 7
 
 
 class TestBitOps:
-    def test_complement_examples(self):
-        assert str(complement(State.from_string("00000"))) == "11111"
-        assert str(complement(State.from_string("000101"))) == "111010"
-
-    def test_conjugate_examples(self):
-        assert str(conjugate(State.from_string("000101"))) == "100101"
-        assert str(conjugate(State.from_string("111111"))) == "011111"
-
-    def test_companion_examples(self):
-        assert str(companion(State.from_string("000101"))) == "000100"
-        assert str(companion(State.from_string("000000"))) == "000001"
-
-    @given(states())
-    def test_involutions(self, s):
-        assert complement(complement(s)) == s
-        assert conjugate(conjugate(s)) == s
-        assert companion(companion(s)) == s
-
-    @given(states())
-    def test_conjugate_shares_tail(self, s):
-        tail_mask = (1 << (s.n - 1)) - 1
-        assert conjugate(s).value & tail_mask == s.value & tail_mask
-        assert conjugate(s) != s
-
-    @given(states())
-    def test_weight(self, s):
-        assert weight(s) == str(s).count("1")
-
     @given(st.integers(1, 16), st.data())
     def test_rotate_left_value_matches_strings(self, m, data):
         v = data.draw(st.integers(0, (1 << m) - 1))
@@ -115,24 +60,6 @@ class TestBitOps:
         s = format(v, f"0{m}b")
         expect = s[r % m :] + s[: r % m]
         assert format(rotate_left_value(v, m, r), f"0{m}b") == expect
-
-
-class TestRunLengthEncode:
-    def test_examples(self):
-        assert run_length_encode(State.from_string("0001011101")).runs == (3, 1, 1, 3, 1, 1)
-        assert run_length_encode(State.from_string("000101")).runs == (3, 1, 1, 1)
-        assert run_length_encode(State(0, 6)).runs == (6,)
-        assert run_length_encode(State.from_string("000101")).run_count == 4
-
-    @given(states())
-    def test_round_trip(self, s):
-        enc = run_length_encode(s)
-        first = s.bit(0)
-        rebuilt = ""
-        for i, r in enumerate(enc.runs):
-            rebuilt += str((first + i) % 2) * r
-        assert rebuilt == str(s)
-        assert enc.total == s.n
 
 
 class TestLambdaRotate:
@@ -173,7 +100,7 @@ class TestLambdaRotate:
 
     @given(nonzero_states())
     def test_preserves_weight(self, u):
-        assert weight(lambda_rotate(u, 7)) == weight(u)
+        assert lambda_rotate(u, 7).value.bit_count() == u.value.bit_count()
 
 
 class TestThetaRotate:

@@ -62,8 +62,12 @@ class TestExtractTree:
         spec = RuleSpec.parse(text)
         tree = extract_tree(spec)
         top = 1 << (spec.n - 1)
+        index_of = _cycle_index(spec.n)[1]
         for e in tree.edges:
-            assert e.child_state.value ^ e.parent_state.value == top
+            # the child-side state lies in the child cycle, its conjugate
+            # in the parent cycle
+            assert index_of[e.child_state.value] == e.child
+            assert index_of[e.child_state.value ^ top] == e.parent
             assert tree.nodes[e.child].kind is not tree.nodes[e.parent].kind
 
     def test_order_three_upsilon_tree(self):

@@ -1,16 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from prrseq import (
     LengthMismatchError,
-    NotDeBruijnError,
     OrderOutOfRangeError,
     RuleKind,
     all_specs,
-    canonical_form,
     enumerate_family,
     exponent_period,
     family_size,
@@ -70,28 +66,6 @@ class TestWindowScan:
             is_de_bruijn("01", 25)
 
 
-class TestCanonicalForm:
-    def test_identity_on_reference_rows(self, table1_rows):
-        for bits in table1_rows:
-            assert canonical_form(bits, 6) == bits
-
-    def test_inverts_rotation(self, table1_rows):
-        bits = table1_rows[3]
-        rotated = bits[7:] + bits[:7]
-        assert canonical_form(rotated, 6) == bits
-
-    @given(st.integers(0, 63))
-    @settings(deadline=None)
-    def test_rotation_invariant(self, r):
-        bits = "0000001111110000101111011101000110001001110011011001010110101001"
-        rotated = bits[r:] + bits[:r]
-        assert canonical_form(rotated, 6) == bits
-
-    def test_rejects_non_de_bruijn(self):
-        with pytest.raises(NotDeBruijnError):
-            canonical_form("0" * 64, 6)
-
-
 class TestLcmRange:
     def test_values(self):
         assert exponent_period(3) == 1
@@ -144,7 +118,7 @@ class TestFamilies:
         report = enumerate_family(RuleKind.UPSILON2, 5)
         for e in report.entries:
             assert e.sequence.startswith("00000")
-            assert canonical_form(e.sequence, 5) == e.sequence
+            assert is_de_bruijn(e.sequence, 5)
 
     def test_order_three_families_hit_both_de_bruijn_sequences(self):
         everything = brute_de_bruijn_canonicals(3)

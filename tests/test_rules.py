@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prrseq
 from prrseq import (
     InvalidSpecError,
     RuleKind,
@@ -14,7 +19,6 @@ from prrseq import (
     is_de_bruijn,
     next_bit,
     next_state,
-    canonical_form,
     count_cycles,
     psi_critical_predicate,
     upsilon_critical_predicate,
@@ -296,6 +300,28 @@ class TestGenerate:
         with pytest.raises(InvalidSpecError):
             list(generate(RuleSpec.parse("sala:n=4"), State(0, 5)))
 
+    @pytest.mark.parametrize("n", [25, 64])
+    def test_full_period_above_the_window_cap_raises_at_once(self, n):
+        # a child process with a timeout, so a run that never ends fails
+        # the test instead of hanging the suite
+        code = (
+            "from prrseq import OrderOutOfRangeError, RuleSpec, generate_sequence\n"
+            "try:\n"
+            f"    generate_sequence(RuleSpec.parse('sala:n={n}'))\n"
+            "except OrderOutOfRangeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(prrseq.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == f"window order must be in [1, 24], got {n}\n"
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("text", ["sala:n=5", "psi2:n=6:k=9", "upsilon1:n=7:kset=1,3,7"])
     def test_period_is_exactly_two_to_the_n(self, text):
         spec = RuleSpec.parse(text)
@@ -310,7 +336,8 @@ class TestGenerate:
         spec = RuleSpec.parse(text)
         v = data.draw(st.integers(0, (1 << spec.n) - 1))
         bits = generate_sequence(spec, State(v, spec.n)).bits
-        assert canonical_form(bits, spec.n) == generate_sequence(spec).bits
+        i = (bits + bits).index("0" * spec.n)  # rotate to the 0^n window
+        assert bits[i:] + bits[:i] == generate_sequence(spec).bits
 
     @pytest.mark.parametrize("text", ASSORTED)
     def test_next_state_agrees_with_generate(self, text):
