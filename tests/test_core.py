@@ -51,6 +51,23 @@ class TestState:
         with pytest.raises(ValueError):
             State.from_string("")
 
+    def test_oldest_bit_is_most_significant(self):
+        # the leftmost character, first shifted out, is the top bit of value
+        assert State.from_string("1000").value == 8
+        assert State.from_string("0001").value == 1
+        assert str(State(1 << 6, 7)) == "1000000"
+
+    @given(states(max_len=64))
+    def test_string_form_round_trips(self, s):
+        assert State.from_string(str(s)) == s
+        assert len(str(s)) == s.n
+
+    def test_frozen_and_hashable(self):
+        s = State(5, 6)
+        with pytest.raises(AttributeError):
+            s.value = 4
+        assert {s, State(5, 6), State(5, 7)} == {State(5, 6), State(5, 7)}
+
 
 class TestBitOps:
     @given(st.integers(1, 16), st.data())
@@ -137,3 +154,7 @@ class TestThetaRotate:
             orbit.append(naive_theta_step(orbit[-1]))
         period = next(p for p in range(1, len(orbit) - 1) if orbit[1 + p] == orbit[1])
         assert str(theta_rotate(u, big)) == orbit[1 + (big - 1) % period]
+
+    @given(states(), st.integers(0, 100))
+    def test_preserves_weight(self, u, r):
+        assert theta_rotate(u, r).value.bit_count() == u.value.bit_count()

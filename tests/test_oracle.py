@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prrseq import (
     LengthMismatchError,
@@ -50,6 +52,27 @@ class TestWindowScan:
         # a window that only repeats across the wrap
         assert find_repeated_window("0011", 2) is None
         assert find_repeated_window("0010", 2) == (3, "00")
+
+    @given(st.integers(0, 63))
+    def test_every_rotation_passes(self, r):
+        # the scan is cyclic, so where the sequence starts does not matter
+        bits = "0000001111110000101111011101000110001001110011011001010110101001"
+        rotated = bits[r:] + bits[:r]
+        assert is_de_bruijn(rotated, 6)
+        assert find_repeated_window(rotated, 6) is None
+
+    def test_every_one_bit_flip_fails(self, table1_rows):
+        # a de Bruijn sequence has weight 2^(n-1), so no flip keeps one
+        bits = table1_rows[0]
+        for i in range(len(bits)):
+            flipped = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+            assert not is_de_bruijn(flipped, 6)
+            assert find_repeated_window(flipped, 6) is not None
+
+    def test_complement_and_reversal_pass(self, table3_rows):
+        for bits in table3_rows:
+            assert is_de_bruijn(bits.translate(str.maketrans("01", "10")), 6)
+            assert is_de_bruijn(bits[::-1], 6)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):

@@ -4,7 +4,8 @@ import types
 
 import prrseq
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def test_all_is_sorted_without_duplicates():
@@ -25,3 +26,19 @@ def test_readme_library_example_runs():
         library = fh.read().split("\n## Library\n", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_lower_level_names_are_exported():
+    with open(README) as fh:
+        text = fh.read()
+    paragraph = text.split("Lower-level pieces are exported too:", 1)[1].split("\n\n", 1)[0]
+    # bare names in backticks, with or without a call signature
+    names = set(re.findall(r"`([A-Za-z_]\w*)[`(]", paragraph))
+    assert len(names) >= 10
+    assert names <= set(prrseq.__all__)
+
+
+def test_version_matches_pyproject():
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        declared = re.search(r'^version = "([^"]+)"', fh.read(), re.M).group(1)
+    assert prrseq.__version__ == declared

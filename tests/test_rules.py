@@ -348,6 +348,16 @@ class TestGenerate:
             assert next_bit(spec, s) == stream[j + spec.n]
             s = next_state(spec, s)
 
+    @pytest.mark.parametrize("text", [t for t in ASSORTED if ":n=5" in t])
+    def test_next_state_walks_one_cycle_through_every_state(self, text):
+        spec = RuleSpec.parse(text)
+        s, seen = State(0, spec.n), set()
+        for _ in range(1 << spec.n):
+            seen.add(s.value)
+            s = next_state(spec, s)
+        assert s == State(0, spec.n)
+        assert len(seen) == 1 << spec.n
+
     def test_next_bit_examples(self):
         assert next_bit(RuleSpec.parse("sala:n=6"), State.from_string("000000")) == 1
         assert next_bit(RuleSpec.parse("sala:n=6"), State.from_string("111111")) == 0
