@@ -24,6 +24,7 @@ ORDER_LIMITS = {
     "decompose": (3, 24),
     "window": (1, 24),
     "tree": (3, 20),
+    "table": (3, 20),
     "family": (3, 11),
 }
 

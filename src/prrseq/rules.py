@@ -27,7 +27,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .canonical import is_conecklace_value, is_necklace_value
 from .core import State, lambda_rotate_value, theta_rotate_value
@@ -206,12 +207,11 @@ def upsilon_critical_predicate(n: int, selector: TailSelector) -> CriticalPredic
     return critical
 
 
-def _tail_selector(kind: RuleKind, n: int, kset=None, k=None) -> TailSelector:
-    """The selector of a psi or upsilon rule, with its exponents tabled.
-
-    The selector accepts a tail when e(c) advances of it give a necklace;
-    c is the tail's weight for psi (lambda rotation) and its number of
-    zeros for upsilon (theta rotation).  e is computed once, for c in 1..n-1:
+def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
+    """The exponent table of a psi or upsilon rule: e[c] advances take an
+    accepted tail with count c to its necklace, c in 1..n-1 (e[0] unused):
+    the weight for psi, where 1 <= e[c] <= c, and the number of zeros for
+    upsilon, where 0 <= e[c] < c.
 
     * psi1: the largest kset element <= c; upsilon1: one less.
     * psi2: k is read cyclically over a cycle's weight-c tails (k and k + c
@@ -223,28 +223,20 @@ def _tail_selector(kind: RuleKind, n: int, kset=None, k=None) -> TailSelector:
     k may lie outside RuleSpec's range: k and k + exponent_period(n) accept
     the same tails.
     """
-    m = n - 1
     exponent = {
         RuleKind.PSI1: lambda c: kset[bisect_right(kset, c) - 1],
         RuleKind.PSI2: lambda c: (k - 2) % c + 1,
         RuleKind.UPSILON1: lambda c: kset[bisect_right(kset, c) - 1] - 1,
         RuleKind.UPSILON2: lambda c: (k - 1) % c,
     }[kind]
-    e = [0] + [exponent(c) for c in range(1, n)]  # counts start at 1
-    if kind in (RuleKind.PSI1, RuleKind.PSI2):
-        return lambda u: is_necklace_value(lambda_rotate_value(u, m, e[u.bit_count()]), m)
-    return lambda u: is_necklace_value(theta_rotate_value(u, m, e[m - u.bit_count()]), m)
+    return [0] + [exponent(c) for c in range(1, n)]
 
 
-def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
-    """Membership test for spec's critical set, over packed n-bit values.
-
-    Built once per spec; the returned closure is what the generator and
-    the validators call per state.
-    """
-    n = spec.n
+def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
+    """spec's critical set tested state by state: the path above the table
+    cap, and the oracle for the tables."""
+    n, m = spec.n, spec.n - 1
     if spec.kind is RuleKind.SALA:
-        m = n - 1
         tail_mask = (1 << m) - 1
 
         def critical(v: int) -> bool:
@@ -252,9 +244,95 @@ def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
             return is_necklace_value(u, m) or is_conecklace_value(u, m)
 
         return critical
-    psi = spec.kind in (RuleKind.PSI1, RuleKind.PSI2)
-    template = psi_critical_predicate if psi else upsilon_critical_predicate
-    return template(n, _tail_selector(spec.kind, n, spec.kset, spec.k))
+    e = _exponents(spec.kind, n, spec.kset, spec.k)
+    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+        return psi_critical_predicate(
+            n, lambda u: is_necklace_value(lambda_rotate_value(u, m, e[u.bit_count()]), m)
+        )
+    return upsilon_critical_predicate(
+        n, lambda u: is_necklace_value(theta_rotate_value(u, m, e[m - u.bit_count()]), m)
+    )
+
+
+@lru_cache(maxsize=4)
+def _necklaces(m: int) -> Tuple[int, ...]:
+    """The binary necklaces of length m, in increasing order, by iterative
+    FKM generation (Ruskey, Savage and Wang, 1992): the next prenecklace
+    raises the last 0 to 1 and repeats the prefix that ends there, and the
+    prenecklaces whose period divides m are the necklaces."""
+    mask = (1 << m) - 1
+    out = [0]
+    x = 0
+    while x != mask:
+        b = (~x & (x + 1)).bit_length() - 1  # the last 0, counted from the right
+        p = m - b  # the new period
+        q = -(-m // p)
+        x = ((x >> b) | 1) * ((1 << p * q) - 1) // ((1 << p) - 1) >> (p * q - m)
+        if m % p == 0:
+            out.append(x)
+    return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _order_tables(m: int) -> Tuple[bytes, bytes, bytes]:
+    """The sala, psi and upsilon flags over the m-bit tails, psi and upsilon
+    without their selector halves.  All co-necklaces start with 0: psi
+    reads those tails as they are, and upsilon reads the complement of the
+    odd tails that start with 1.  sala adds the necklaces."""
+    half = 1 << (m - 1)
+    co = bytes(is_conecklace_value(u, m) for u in range(half))
+    psi = co + bytes(half)
+    upsilon = bytearray(2 * half)
+    upsilon[half + 1 :: 2] = co[half - 2 :: -2]  # tail u reads co[(2 half - 1) ^ u]
+    sala = bytearray(psi)
+    for x in _necklaces(m):
+        sala[x] = 1
+    return bytes(sala), psi, bytes(upsilon)
+
+
+def _critical_table(spec: RuleSpec) -> bytes:
+    """spec's critical flags over the (n-1)-bit tails, from the necklaces.
+    The tail a selector accepts is the one that e(c) advances take to its
+    class's necklace x, of weight c and z zeros: for psi, x rotated to its
+    one number c - e(c) + 1, which theta reaches on x's complement; for
+    upsilon, x rotated to its zero number z - e(z) + 1, z - e(z) thetas."""
+    n = spec.n
+    check_order(n, "table")
+    m = n - 1
+    mask = (1 << m) - 1
+    sala, psi, upsilon = _order_tables(m)
+    if spec.kind is RuleKind.SALA:
+        return sala
+    e = _exponents(spec.kind, n, spec.kset, spec.k)
+    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+        table = bytearray(psi)
+        for x in _necklaces(m)[1:]:  # 0 has no rotation starting with 1
+            c = x.bit_count()
+            table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
+    else:
+        table = bytearray(upsilon)
+        for x in _necklaces(m)[:-1]:  # all ones has no rotation starting with 0
+            z = m - x.bit_count()
+            table[theta_rotate_value(x, m, z - e[z]) << 1] = 1
+    return bytes(table)
+
+
+@lru_cache(maxsize=8)
+def _predicate(spec: RuleSpec) -> CriticalPredicate:
+    if spec.n > ORDER_LIMITS["table"][1]:
+        return _scan_predicate(spec)
+    table = _critical_table(spec)
+    tail_mask = (1 << (spec.n - 1)) - 1
+    return lambda v: table[v & tail_mask]
+
+
+def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
+    """Membership test for spec's critical set, over packed n-bit values.
+
+    Rules read only the last n - 1 bits: up to ORDER_LIMITS["table"] the
+    test is a lookup in 2^(n-1) flags, above it a per-state test.  Built
+    once per spec (a few are cached) and called per state."""
+    return _predicate(spec)
 
 
 def _check_state(spec: RuleSpec, s: State) -> None:
@@ -265,7 +343,7 @@ def _check_state(spec: RuleSpec, s: State) -> None:
 def in_critical_set(spec: RuleSpec, s: State) -> bool:
     """True iff the rule complements the register feedback at s."""
     _check_state(spec, s)
-    return critical_predicate(spec)(s.value)
+    return bool(critical_predicate(spec)(s.value))
 
 
 def next_bit(spec: RuleSpec, s: State) -> int:
@@ -287,7 +365,7 @@ def generate(
     """Stream the rule's sequence: bit j is the oldest bit of the window
     at position j, so the first n bits spell out the start state.
 
-    start defaults to all zeros, count to the full period 2^n.
+    start defaults to all zeros, count to the full period 2^n (n <= 24).
     """
     n = spec.n
     if start is None:
@@ -296,6 +374,7 @@ def generate(
         _check_state(spec, start)
         v = start.value
     if count is None:
+        check_order(n, "window")
         count = 1 << n
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")

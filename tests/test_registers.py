@@ -19,6 +19,7 @@ from prrseq import (
 )
 from prrseq.core import rotate_left_value
 from prrseq.registers import ORDER_LIMITS
+from prrseq.rules import _critical_table
 
 
 def run_count(v, n):
@@ -197,6 +198,7 @@ ENTRY_POINTS = {
     "decompose": [(decompose, OrderOutOfRangeError)],
     "window": [(lambda n: find_repeated_window("01", n), OrderOutOfRangeError)],
     "tree": [(lambda n: extract_tree(_unchecked_spec(n)), OrderOutOfRangeError)],
+    "table": [(lambda n: _critical_table(_unchecked_spec(n)), OrderOutOfRangeError)],
     "family": [(lambda n: enumerate_family(RuleKind.SALA, n), OrderOutOfRangeError)],
 }
 

@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from prrseq import (
     RuleSpec,
     SpecSyntaxError,
     State,
+    all_specs,
     generate,
     generate_sequence,
     in_critical_set,
@@ -26,7 +29,13 @@ from prrseq import (
 )
 from prrseq.canonical import is_conecklace_value, is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
-from prrseq.rules import _tail_selector, critical_predicate, exponent_range
+from prrseq.rules import (
+    _critical_table,
+    _necklaces,
+    _scan_predicate,
+    critical_predicate,
+    exponent_range,
+)
 
 ASSORTED = [
     "sala:n=5",
@@ -53,6 +62,27 @@ def draw_spec(data, kind):
         valid = exponent_range(kind, n)
         return RuleSpec(kind, n, k=data.draw(st.integers(valid[0], valid[-1]), label="k"))
     return RuleSpec(kind, n)
+
+
+def _run_child(call):
+    """Run call in a child process with a timeout, so a run that never ends
+    fails the test instead of hanging the suite; an OrderOutOfRangeError
+    is printed to stdout."""
+    code = (
+        "from prrseq import OrderOutOfRangeError, RuleSpec, generate, generate_sequence\n"
+        "try:\n"
+        f"    {call}\n"
+        "except OrderOutOfRangeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(prrseq.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestRuleSpecValidation:
@@ -257,18 +287,75 @@ class TestCriticalSets:
         assert len(steps_to_s) == 1, (spec.spec_string(), s)
 
     def test_exponent_wraps_around_its_period(self):
-        # k and k + lcm(1..n-2) select the same tails; checked at the
-        # selector level because RuleSpec rejects out-of-range k.  Their
-        # exponent tables differ at c = n-1, which only the all-ones psi
-        # tail and the all-zeros upsilon tail reach, and every rotation
-        # maps those to themselves: so compare accepted tails, not tables.
-        m = 5
-        s1 = _tail_selector(RuleKind.PSI2, 6, k=1)
-        s13 = _tail_selector(RuleKind.PSI2, 6, k=13)
-        assert all(s1(u) == s13(u) for u in range(1 << (m - 1), 1 << m))
-        t0 = _tail_selector(RuleKind.UPSILON2, 6, k=0)
-        t12 = _tail_selector(RuleKind.UPSILON2, 6, k=12)
-        assert all(t0(u) == t12(u) for u in range(1 << (m - 1)))
+        # k and k + lcm(1..n-2) select the same states; k = 13 and 12 are set
+        # past RuleSpec's range check.  Their exponent tables differ at
+        # c = n-1, which only the all-ones psi tail and the all-zeros
+        # upsilon tail reach, and every rotation maps those to themselves:
+        # so compare critical states, not tables.
+        for kind, k, wrapped in ((RuleKind.PSI2, 1, 13), (RuleKind.UPSILON2, 0, 12)):
+            spec, beyond = RuleSpec(kind, 6, k=k), RuleSpec(kind, 6, k=k)
+            object.__setattr__(beyond, "k", wrapped)
+            scans = [bytes(map(_scan_predicate(s), range(1 << 6))) for s in (spec, beyond)]
+            assert scans[0] == scans[1]
+            assert _critical_table(spec) == _critical_table(beyond)
+
+
+def _seeded_specs(rng, n):
+    """One spec per family at order n, with kset and k drawn from rng."""
+    specs = []
+    for kind in RuleKind:
+        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+            middle = [c for c in range(2, n - 1) if rng.random() < 0.5]
+            specs.append(RuleSpec(kind, n, kset=(1, *middle, n)))
+        elif kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+            valid = exponent_range(kind, n)
+            specs.append(RuleSpec(kind, n, k=rng.randint(valid[0], valid[-1])))
+        else:
+            specs.append(RuleSpec(kind, n))
+    return specs
+
+
+class TestCriticalTables:
+    """The per-order tables, built from the necklaces, against the
+    per-state test they replace up to the table cap."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_every_spec_agrees_with_the_scan_on_every_state(self, n):
+        # the table covers the n-1 tail bits, so doubled it covers every state
+        pairs = count_cycles(n).total - 1
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                states = _critical_table(spec) * 2
+                assert bytes(map(_scan_predicate(spec), range(1 << n))) == states, spec
+                assert states.count(1) == 2 * pairs
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_seeded_specs_agree_with_the_scan(self, n):
+        rng = random.Random(n)
+        m = n - 1
+        pairs = count_cycles(n).total - 1
+        for spec in _seeded_specs(rng, n):
+            crit, scan = critical_predicate(spec), _scan_predicate(spec)
+            tails = list(itertools.compress(range(1 << m), _critical_table(spec)))
+            marked = tails + [u | (1 << m) for u in tails]
+            assert len(marked) == 2 * pairs, spec
+            assert all(map(scan, marked)), spec
+            sample = [rng.getrandbits(n) for _ in range(20000)]
+            assert [bool(crit(v)) for v in sample] == list(map(scan, sample)), spec
+
+    def test_fkm_lists_the_necklaces(self):
+        for m in range(1, 17):
+            necklaces = _necklaces(m)
+            assert list(necklaces) == [v for v in range(1 << m) if is_necklace_value(v, m)]
+            if m >= 2:  # the register's orders start at 3
+                assert len(necklaces) == count_cycles(m + 1).pcr
+
+    def test_equal_specs_share_one_predicate(self):
+        # below and above the table cap
+        for text in ("psi2:n=9:k=5", "upsilon1:n=30:kset=1,4,30"):
+            assert critical_predicate(RuleSpec.parse(text)) is critical_predicate(
+                RuleSpec.parse(text)
+            )
 
 
 class TestGenerate:
@@ -302,23 +389,15 @@ class TestGenerate:
 
     @pytest.mark.parametrize("n", [25, 64])
     def test_full_period_above_the_window_cap_raises_at_once(self, n):
-        # a child process with a timeout, so a run that never ends fails
-        # the test instead of hanging the suite
-        code = (
-            "from prrseq import OrderOutOfRangeError, RuleSpec, generate_sequence\n"
-            "try:\n"
-            f"    generate_sequence(RuleSpec.parse('sala:n={n}'))\n"
-            "except OrderOutOfRangeError as exc:\n"
-            "    print(exc)\n"
-        )
-        src = os.path.dirname(os.path.dirname(prrseq.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = _run_child(f"generate_sequence(RuleSpec.parse('sala:n={n}'))")
+        assert proc.stdout == f"window order must be in [1, 24], got {n}\n"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("n", [25, 64])
+    def test_default_count_above_the_window_cap_raises_at_once(self, n):
+        # with an explicit count any order streams
+        assert len(list(generate(RuleSpec.parse(f"sala:n={n}"), count=3 * n))) == 3 * n
+        proc = _run_child(f"next(generate(RuleSpec.parse('sala:n={n}')))")
         assert proc.stdout == f"window order must be in [1, 24], got {n}\n"
         assert proc.stderr == ""
 
