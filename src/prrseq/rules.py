@@ -299,13 +299,13 @@ def _critical_table(spec: RuleSpec) -> bytes:
     n = spec.n
     check_order(n, "table")
     m = n - 1
-    mask = (1 << m) - 1
     sala, psi, upsilon = _order_tables(m)
     if spec.kind is RuleKind.SALA:
         return sala
     e = _exponents(spec.kind, n, spec.kset, spec.k)
     if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
         table = bytearray(psi)
+        mask = (1 << m) - 1
         for x in _necklaces(m)[1:]:  # 0 has no rotation starting with 1
             c = x.bit_count()
             table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
