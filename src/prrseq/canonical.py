@@ -9,6 +9,9 @@ the cycle reads smallest.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 from .core import State
 
 
@@ -52,6 +55,31 @@ def is_conecklace_value(v: int, m: int) -> bool:
     # by its complement) heads its plain rotation class: both conditions
     # compare v against the same 2m cyclic windows.
     return is_necklace_value((v << m) | (v ^ ((1 << m) - 1)), 2 * m)
+
+
+@lru_cache(maxsize=4)
+def _fkm_walk(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """The binary necklaces of length m, their periods, and the co-necklaces
+    of length m, each in increasing order, from one iterative FKM walk
+    (Ruskey, Savage and Wang, 1992): the next prenecklace raises the last 0
+    to 1 and repeats the prefix that ends there, and the prenecklaces whose
+    period p divides m are the necklaces.  A co-necklace C is a prenecklace
+    too, as C followed by its complement is a necklace, which ends with 1,
+    so C ends with 0: only those prenecklaces are tested."""
+    mask = (1 << m) - 1
+    necklaces, periods, conecklaces = [0], [1], [0]
+    x = 0
+    while x != mask:
+        b = (~x & (x + 1)).bit_length() - 1  # the last 0, counted from the right
+        p = m - b  # the new period
+        q = -(-m // p)
+        x = ((x >> b) | 1) * ((1 << p * q) - 1) // ((1 << p) - 1) >> (p * q - m)
+        if m % p == 0:
+            necklaces.append(x)
+            periods.append(p)
+        if not x & 1 and is_conecklace_value(x, m):
+            conecklaces.append(x)
+    return tuple(necklaces), tuple(periods), tuple(conecklaces)
 
 
 def is_necklace(u: State) -> bool:

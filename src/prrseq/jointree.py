@@ -64,10 +64,13 @@ def _cycle_index(n: int):
     """Cycles sorted by representative plus a value -> node index table."""
     structure = decompose(n)
     nodes = tuple(sorted(structure.cycles, key=lambda c: c.representative.value))
-    index_of = [0] * (1 << n)
+    mask = (1 << n) - 1
+    index_of = [0] * (mask + 1)
     for i, cyc in enumerate(nodes):
-        for v in cyc.state_values():
+        v = cyc.representative.value
+        for _ in range(cyc.period):
             index_of[v] = i
+            v = prr_step_value(v, n, mask)
     return nodes, index_of
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
+from .canonical import _fkm_walk
 from .core import MAX_LENGTH, State
 
 # Supported orders, (lo, hi) inclusive, for each operation.  Generation is
@@ -119,29 +120,30 @@ class CycleStructure:
 def decompose(n: int) -> CycleStructure:
     """Partition all 2^n states into PRR cycles.
 
-    Values are scanned in increasing order, so the first unvisited value
-    on each cycle is its least member and serves as the representative.
-    Within each kind, cycles come out sorted by representative.
+    Along a cycle the first n - 1 bits run through the rotations of a
+    necklace N (PCR type) or the complement-rotations of a co-necklace C
+    (CCR type), and the last bit repeats the first bit or complements it.
+    So the least member, the representative, is N followed by its first
+    bit, or C followed by the complement of its first bit, and the period
+    is that of N, or of the word C followed by its complement.  Within
+    each kind, cycles come out sorted by representative.
     """
     check_order(n, "decompose")
-    size = 1 << n
-    mask = size - 1
-    visited = bytearray(size)
-    pcr: List[Cycle] = []
-    ccr: List[Cycle] = []
-    for v0 in range(size):
-        if visited[v0]:
-            continue
-        period = 0
-        v = v0
-        while not visited[v]:
-            visited[v] = 1
-            period += 1
-            v = prr_step_value(v, n, mask)
-        kind = _cycle_kind(v0, n)
-        cyc = Cycle(State(v0, n), kind, period)
-        (pcr if kind is CycleKind.PCR else ccr).append(cyc)
-    return CycleStructure(n, tuple(pcr), tuple(ccr))
+    m = n - 1
+    mask = (1 << m) - 1
+    necklaces, periods, conecklaces = _fkm_walk(m)
+    pcr = tuple(
+        Cycle(State((x << 1) | (x >> (m - 1)), n), CycleKind.PCR, p)
+        for x, p in zip(necklaces, periods)
+    )
+    # Rotating C.~C by m complements it, so its period is 2m/d for an odd d | m.
+    shifts = [2 * m // d for d in range(m, 0, -1) if m % d == 0 and d & 1]
+    ccr = []
+    for x in conecklaces:  # each starts with 0
+        w = (x << m) | (x ^ mask)
+        p = next(s for s in shifts if (w >> s) | (w & ((1 << s) - 1)) << (2 * m - s) == w)
+        ccr.append(Cycle(State((x << 1) | 1, n), CycleKind.CCR, p))
+    return CycleStructure(n, pcr, tuple(ccr))
 
 
 class CycleCounts(NamedTuple):

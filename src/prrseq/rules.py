@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from .canonical import is_conecklace_value, is_necklace_value
+from .canonical import _fkm_walk, is_conecklace_value, is_necklace_value
 from .core import State, lambda_rotate_value, theta_rotate_value
 from .registers import ORDER_LIMITS, check_order, prr_step_value
 
@@ -255,39 +255,20 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
 
 
 @lru_cache(maxsize=4)
-def _necklaces(m: int) -> Tuple[int, ...]:
-    """The binary necklaces of length m, in increasing order, by iterative
-    FKM generation (Ruskey, Savage and Wang, 1992): the next prenecklace
-    raises the last 0 to 1 and repeats the prefix that ends there, and the
-    prenecklaces whose period divides m are the necklaces."""
-    mask = (1 << m) - 1
-    out = [0]
-    x = 0
-    while x != mask:
-        b = (~x & (x + 1)).bit_length() - 1  # the last 0, counted from the right
-        p = m - b  # the new period
-        q = -(-m // p)
-        x = ((x >> b) | 1) * ((1 << p * q) - 1) // ((1 << p) - 1) >> (p * q - m)
-        if m % p == 0:
-            out.append(x)
-    return tuple(out)
-
-
-@lru_cache(maxsize=4)
 def _order_tables(m: int) -> Tuple[bytes, bytes, bytes]:
     """The sala, psi and upsilon flags over the m-bit tails, psi and upsilon
-    without their selector halves.  All co-necklaces start with 0: psi
-    reads those tails as they are, and upsilon reads the complement of the
-    odd tails that start with 1.  sala adds the necklaces."""
-    half = 1 << (m - 1)
-    co = bytes(is_conecklace_value(u, m) for u in range(half))
-    psi = co + bytes(half)
-    upsilon = bytearray(2 * half)
-    upsilon[half + 1 :: 2] = co[half - 2 :: -2]  # tail u reads co[(2 half - 1) ^ u]
+    without their selector halves.  All co-necklaces start and end with 0:
+    psi reads those tails as they are, and upsilon reads the complement of
+    the odd tails that start with 1.  sala adds the necklaces."""
+    mask = (1 << m) - 1
+    necklaces, _, conecklaces = _fkm_walk(m)
+    psi, upsilon = bytearray(mask + 1), bytearray(mask + 1)
+    for x in conecklaces:
+        psi[x] = upsilon[mask ^ x] = 1
     sala = bytearray(psi)
-    for x in _necklaces(m):
+    for x in necklaces:
         sala[x] = 1
-    return bytes(sala), psi, bytes(upsilon)
+    return bytes(sala), bytes(psi), bytes(upsilon)
 
 
 def _critical_table(spec: RuleSpec) -> bytes:
@@ -302,16 +283,17 @@ def _critical_table(spec: RuleSpec) -> bytes:
     sala, psi, upsilon = _order_tables(m)
     if spec.kind is RuleKind.SALA:
         return sala
+    necklaces = _fkm_walk(m)[0]
     e = _exponents(spec.kind, n, spec.kset, spec.k)
     if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
         table = bytearray(psi)
         mask = (1 << m) - 1
-        for x in _necklaces(m)[1:]:  # 0 has no rotation starting with 1
+        for x in necklaces[1:]:  # 0 has no rotation starting with 1
             c = x.bit_count()
             table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
     else:
         table = bytearray(upsilon)
-        for x in _necklaces(m)[:-1]:  # all ones has no rotation starting with 0
+        for x in necklaces[:-1]:  # all ones has no rotation starting with 0
             z = m - x.bit_count()
             table[theta_rotate_value(x, m, z - e[z]) << 1] = 1
     return bytes(table)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prrseq import State, is_conecklace, is_necklace
-from prrseq.canonical import is_conecklace_value, is_necklace_value
+from prrseq import State, count_cycles, is_conecklace, is_necklace
+from prrseq.canonical import _fkm_walk, is_conecklace_value, is_necklace_value
 
 
 def brute_necklace(s):
@@ -113,3 +113,19 @@ class TestIsConecklace:
                 cycle.append(v)
                 v = ((v << 1) & mask) | (1 ^ (v >> (m - 1)))
             assert sum(is_conecklace_value(v, m) for v in cycle) == 1
+
+
+class TestFkmWalk:
+    def test_fkm_lists_the_necklaces(self):
+        for m in range(1, 17):
+            necklaces = _fkm_walk(m)[0]
+            assert list(necklaces) == [v for v in range(1 << m) if is_necklace_value(v, m)]
+            if m >= 2:  # the register's orders start at 3
+                assert len(necklaces) == count_cycles(m + 1).pcr
+
+    def test_fkm_lists_the_co_necklaces(self):
+        for m in range(1, 17):
+            conecklaces = _fkm_walk(m)[2]
+            assert list(conecklaces) == [v for v in range(1 << m) if is_conecklace_value(v, m)]
+            if m >= 2:
+                assert len(conecklaces) == count_cycles(m + 1).ccr

@@ -18,13 +18,35 @@ from prrseq import (
     prr_next_bit,
 )
 from prrseq.core import rotate_left_value
-from prrseq.registers import ORDER_LIMITS
+from prrseq.registers import ORDER_LIMITS, Cycle, CycleStructure, prr_step_value
 from prrseq.rules import _critical_table
 
 
 def run_count(v, n):
     """Number of maximal runs of equal bits in the n-bit value v."""
     return ((v ^ (v >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
+
+
+def scan_decompose(n):
+    """The cycles found by stepping every state, in increasing order, so the
+    first unvisited value on each cycle is its least member: the oracle for
+    decompose, which builds them from the necklaces and co-necklaces."""
+    size = 1 << n
+    mask = size - 1
+    visited = bytearray(size)
+    pcr, ccr = [], []
+    for v0 in range(size):
+        if visited[v0]:
+            continue
+        period = 0
+        v = v0
+        while not visited[v]:
+            visited[v] = 1
+            period += 1
+            v = prr_step_value(v, n, mask)
+        kind = classify_state(State(v0, n))
+        (pcr if kind is CycleKind.PCR else ccr).append(Cycle(State(v0, n), kind, period))
+    return CycleStructure(n, tuple(pcr), tuple(ccr))
 
 
 def states(min_len=3, max_len=16):
@@ -122,6 +144,16 @@ class TestDecompose:
     def test_representative_is_least_member(self, n):
         for cyc in decompose(n).cycles:
             assert cyc.representative.value == min(cyc.state_values())
+
+    @pytest.mark.parametrize("n", range(3, 19))
+    def test_equals_the_state_scan(self, n):
+        assert decompose(n).to_text() == scan_decompose(n).to_text()
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_counts_and_periods_above_the_scan(self, n):
+        cycles = decompose(n).cycles
+        assert len(cycles) == count_cycles(n).total
+        assert sum(c.period for c in cycles) == 1 << n
 
     def test_rejects_out_of_range(self):
         with pytest.raises(OrderOutOfRangeError):

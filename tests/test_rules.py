@@ -31,7 +31,7 @@ from prrseq.canonical import is_conecklace_value, is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
 from prrseq.rules import (
     _critical_table,
-    _necklaces,
+    _order_tables,
     _scan_predicate,
     critical_predicate,
     exponent_range,
@@ -343,12 +343,26 @@ class TestCriticalTables:
             sample = [rng.getrandbits(n) for _ in range(20000)]
             assert [bool(crit(v)) for v in sample] == list(map(scan, sample)), spec
 
-    def test_fkm_lists_the_necklaces(self):
-        for m in range(1, 17):
-            necklaces = _necklaces(m)
-            assert list(necklaces) == [v for v in range(1 << m) if is_necklace_value(v, m)]
-            if m >= 2:  # the register's orders start at 3
-                assert len(necklaces) == count_cycles(m + 1).pcr
+    def test_co_necklace_flags_take_one_test_per_prenecklace(self, monkeypatch):
+        # the flags come from the FKM walk, not from testing all 2^(m-1)
+        # words that start with 0; v is a prenecklace iff v.1^m is a necklace
+        m = 14
+        mask = (1 << m) - 1
+        prenecklaces = sum(is_necklace_value((v << m) | mask, 2 * m) for v in range(1 << m))
+        calls = []
+
+        def counted(v, width):
+            calls.append(v)
+            return is_conecklace_value(v, width)
+
+        monkeypatch.setattr(prrseq.canonical, "is_conecklace_value", counted)
+        monkeypatch.setattr(prrseq.rules, "is_conecklace_value", counted)
+        prrseq.canonical._fkm_walk.cache_clear()
+        _order_tables.cache_clear()
+        sala, psi, upsilon = _order_tables(m)
+        assert 0 < len(calls) <= prenecklaces < 1 << (m - 1)
+        assert len(set(calls)) == len(calls)
+        assert psi.count(1) == upsilon.count(1) == count_cycles(m + 1).ccr
 
     def test_equal_specs_share_one_predicate(self):
         # below and above the table cap
