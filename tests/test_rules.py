@@ -359,7 +359,7 @@ class TestCriticalTables:
         monkeypatch.setattr(prrseq.rules, "is_conecklace_value", counted)
         prrseq.canonical._fkm_walk.cache_clear()
         _order_tables.cache_clear()
-        sala, psi, upsilon = _order_tables(m)
+        _, psi, upsilon = _order_tables(m)
         assert 0 < len(calls) <= prenecklaces < 1 << (m - 1)
         assert len(set(calls)) == len(calls)
         assert psi.count(1) == upsilon.count(1) == count_cycles(m + 1).ccr
