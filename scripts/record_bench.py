@@ -3,17 +3,18 @@
     python3 scripts/record_bench.py LABEL
 
 For each workload that BENCHMARK.json gates, bench/run.py runs untraced
-REPEATS times and traced once, at seed 1 and --seconds 40.  Then the
-per-bit generation cost of criterion 09 (cli.ns_per_bit, sala and psi2
-with k = lcm(1..n-2), n = 8, 16, 32 and 64, 2^15 bits) is timed REPEATS
-times in this process.
+REPEATS times and traced once, at seed 1 and --seconds 40.  One run of
+the Tier-1 suite, as ROADMAP.md gives its command, is timed as the case
+tier1.wall_s.  Then the per-bit generation cost of criterion 09
+(cli.ns_per_bit, sala and psi2 with k = lcm(1..n-2), n = 8, 16, 32 and
+64, 2^15 bits) is timed REPEATS times in this process.
 
 The file at the root of the checkout holds the machine, the Python
 version and the commit, one case per end-to-end metric and per ns/bit
 order (its unit, min, median and every repeat: each untraced run is
 already a median over its jobs), and each traced run's correctness,
 theory-checked counts and per-layer self_share values.  Uses only the
-standard library; exits 1 if a benchmark run fails.
+standard library; exits 1 if a benchmark run or the Tier-1 suite fails.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import statistics
 import subprocess
 import sys
 import time
+from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
@@ -51,7 +53,21 @@ def bench(workload: str, trace: int) -> dict:
     return result
 
 
-def case(name: str, n: int, unit: str, values: list) -> dict:
+def tier1() -> float:
+    """Wall seconds of one run of the Tier-1 command in ROADMAP.md."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-4000:])
+        raise SystemExit(f"error: Tier-1 ({' '.join(cmd)}) exited with {proc.returncode}")
+    return seconds
+
+
+def case(name: str, n: Optional[int], unit: str, values: list) -> dict:
     return {"name": name, "n": n, "unit": unit, "min": min(values),
             "median": statistics.median(values), "repeats": values}
 
@@ -78,6 +94,8 @@ def main(argv=None) -> int:
             "counts": {k: run["metrics"][k] for k in run["provenance"]["expected_counts"]},
             "self_share": {k: v for k, v in run["metrics"].items() if k.endswith("self_share")},
         }
+
+    cases.append(case("tier1.wall_s", None, "s", [tier1()]))
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from prrseq.cli import ns_per_bit

@@ -10,7 +10,7 @@ the cycle reads smallest.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Tuple
 
 from .core import State
 
@@ -50,10 +50,32 @@ def is_necklace_value(v: int, m: int) -> bool:
     return True
 
 
+def _longest_zero_runs(v: int, m: int) -> List[int]:
+    """Start indices of the longest 0-runs of the m-bit word v, which
+    starts with 1 and has a 0, so no run wraps."""
+    y = v ^ ((1 << m) - 1)  # marks where 0-runs of length k start, k = 1
+    while longer := y & (y << 1):  # where runs of length k + 1 start
+        y = longer
+    starts = []
+    while y:
+        starts.append(m - (y & -y).bit_length())
+        y &= y - 1
+    return starts
+
+
 def is_conecklace_value(v: int, m: int) -> bool:
-    # v heads its complement-rotation class iff the 2m-bit word (v followed
-    # by its complement) heads its plain rotation class: both conditions
-    # compare v against the same 2m cyclic windows.
+    """True iff v heads its complement-rotation class, i.e. iff the 2m-bit
+    word W = v followed by ~v is a necklace.  W then ends with 1 and starts
+    with a longest 0-run, so v starts and ends with 0 and W's 0-runs are
+    v's runs of either bit: v is rejected if one is longer than its first."""
+    if v >> (m - 1) or v & 1:
+        return False
+    z = m - v.bit_length()
+    y = (v ^ (v >> 1)) ^ ((1 << (m - 1)) - 1)  # bit b: bits b and b + 1 of v agree
+    for _ in range(z - 1):
+        y &= y << 1
+    if y:  # a run of z + 1 equal bits
+        return False
     return is_necklace_value((v << m) | (v ^ ((1 << m) - 1)), 2 * m)
 
 

@@ -19,7 +19,7 @@ class ZeroStateError(ValueError):
     """An operator that needs a 1 somewhere was given the all-zero state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     """Immutable contents of an n-bit shift register."""
 

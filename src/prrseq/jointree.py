@@ -27,7 +27,7 @@ class NotSpanningError(ValueError):
     """The critical pairs do not link the cycles into one rooted tree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeEdge:
     """One conjugate pair, oriented from the cycle it designates."""
 

@@ -76,7 +76,7 @@ def classify_state(s: State) -> CycleKind:
     return _cycle_kind(s.value, s.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """One cycle of the PRR state graph.
 
@@ -98,7 +98,7 @@ class Cycle:
             v = prr_step_value(v, n, mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleStructure:
     """Full cycle decomposition of the order-n PRR."""
 

@@ -30,8 +30,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from .canonical import _fkm_walk, is_conecklace_value, is_necklace_value
-from .core import State, lambda_rotate_value, theta_rotate_value
+from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
+from .core import State, rotate_left_value, theta_rotate_value
 from .registers import ORDER_LIMITS, check_order, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
@@ -234,24 +234,37 @@ def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
 
 def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     """spec's critical set tested state by state: the path above the table
-    cap, and the oracle for the tables."""
+    cap, and the oracle for the tables.  A selector rotates and tests a
+    tail only at a longest 0-run, where any necklace starts, that has the
+    ones (psi) or zeros (upsilon) ahead of it that e(c) advances skip."""
     n, m = spec.n, spec.n - 1
+    mask = (1 << m) - 1
     if spec.kind is RuleKind.SALA:
-        tail_mask = (1 << m) - 1
 
         def critical(v: int) -> bool:
-            u = v & tail_mask
+            u = v & mask
             return is_necklace_value(u, m) or is_conecklace_value(u, m)
 
         return critical
     e = _exponents(spec.kind, n, spec.kset, spec.k)
-    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+
+    def necklace_at(w: int, before: int, ones: bool) -> bool:  # w starts with 1
+        for s in _longest_zero_runs(w, m):  # at most one has `before` ahead
+            if (w >> (m - s)).bit_count() == (before if ones else s - before):
+                return is_necklace_value(rotate_left_value(w, m, s), m)
+        return False
+
+    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):  # lambda^e: past the e(c)-th one
         return psi_critical_predicate(
-            n, lambda u: is_necklace_value(lambda_rotate_value(u, m, e[u.bit_count()]), m)
+            n, lambda u: u == mask or necklace_at(u, e[u.bit_count()], True)
         )
-    return upsilon_critical_predicate(
-        n, lambda u: is_necklace_value(theta_rotate_value(u, m, e[m - u.bit_count()]), m)
-    )
+
+    def upsilon_selector(u: int) -> bool:
+        # theta^e: to the (e(z)+1)-th zero, the (e(z)-a+1)-th mod z past u's a leading 0s
+        a, z = m - u.bit_length(), m - u.bit_count()
+        return not u or necklace_at(((u << a) | (u >> (m - a))) & mask, (e[z] - a) % z, False)
+
+    return upsilon_critical_predicate(n, upsilon_selector)
 
 
 @lru_cache(maxsize=4)

@@ -1,9 +1,18 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prrseq
 from prrseq import State, count_cycles, is_conecklace, is_necklace
-from prrseq.canonical import _fkm_walk, is_conecklace_value, is_necklace_value
+from prrseq.canonical import (
+    _fkm_walk,
+    _longest_zero_runs,
+    is_conecklace_value,
+    is_necklace_value,
+)
 
 
 def brute_necklace(s):
@@ -15,6 +24,34 @@ def brute_conecklace(s):
     doubled = (s + comp) * 2
     m = len(s)
     return all(s <= doubled[i : i + m] for i in range(2 * m))
+
+
+def brute_longest_zero_runs(s):
+    runs = [(run.start(), len(run.group())) for run in re.finditer("0+", s)]
+    longest = max(length for _, length in runs)
+    return [i for i, length in runs if length == longest]
+
+
+def passes_run_filter(s):
+    """The co-necklace test's cheap half: s starts and ends with 0 and no
+    run of either bit is longer than its leading zeros."""
+    runs = [len(list(g)) for _, g in itertools.groupby(s)]
+    return s[0] == s[-1] == "0" and max(runs) <= runs[0]
+
+
+@st.composite
+def run_filter_words(draw):
+    """(m, v) with v starting with z zeros, then alternating runs of ones
+    and zeros of length 1..z, ending with zeros: every word passes the run
+    filter, so the co-necklace test builds the 2m-bit word.  m is 19..63."""
+    z = draw(st.integers(1, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(1, z), st.integers(1, z)), min_size=9, max_size=31))
+    s = "0" * z
+    for ones, zeros in pairs:
+        if len(s) + ones + zeros > 63:
+            break
+        s += "1" * ones + "0" * zeros
+    return len(s), int(s, 2)
 
 
 @st.composite
@@ -91,11 +128,31 @@ class TestIsConecklace:
             s = format(v, f"0{m}b")
             assert is_conecklace_value(v, m) == brute_conecklace(s), s
 
-    @given(generation_words(17, 63))
-    @settings(max_examples=300)
+    @given(st.one_of(generation_words(17, 63), run_filter_words()))
+    @settings(max_examples=500)
     def test_matches_brute_force_at_generation_widths(self, mv):
         m, v = mv
         assert is_conecklace_value(v, m) == brute_conecklace(format(v, f"0{m}b"))
+
+    @given(run_filter_words())
+    def test_run_filter_words_pass_the_filter(self, mv):
+        m, v = mv
+        assert 19 <= m <= 63 and passes_run_filter(format(v, f"0{m}b"))
+
+    def test_only_words_that_pass_the_run_filter_build_the_2m_bit_word(self, monkeypatch):
+        reached = []
+
+        def counted(w, width):
+            reached.append(w >> (width // 2))
+            return is_necklace_value(w, width)
+
+        monkeypatch.setattr(prrseq.canonical, "is_necklace_value", counted)
+        for m in range(1, 13):
+            reached.clear()
+            for v in range(1 << m):
+                is_conecklace_value(v, m)
+            words = [format(v, f"0{m}b") for v in range(1 << m)]
+            assert reached == [v for v, s in enumerate(words) if passes_run_filter(s)], m
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_exactly_one_per_complementing_cycle(self, m):
@@ -113,6 +170,25 @@ class TestIsConecklace:
                 cycle.append(v)
                 v = ((v << 1) & mask) | (1 ^ (v >> (m - 1)))
             assert sum(is_conecklace_value(v, m) for v in cycle) == 1
+
+
+class TestLongestZeroRuns:
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_matches_a_string_scan_exhaustively(self, m):
+        # every word that starts with 1 and has a 0 (there is none at m = 1)
+        for v in range(1 << (m - 1), (1 << m) - 1):
+            s = format(v, f"0{m}b")
+            assert sorted(_longest_zero_runs(v, m)) == brute_longest_zero_runs(s), s
+
+    @given(generation_words(17, 63))
+    @settings(max_examples=300)
+    def test_matches_a_string_scan_at_generation_widths(self, mv):
+        m, v = mv
+        v |= 1 << (m - 1)
+        if v == (1 << m) - 1:
+            v ^= 1
+        s = format(v, f"0{m}b")
+        assert sorted(_longest_zero_runs(v, m)) == brute_longest_zero_runs(s), s
 
 
 class TestFkmWalk:

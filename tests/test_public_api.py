@@ -2,6 +2,8 @@ import os
 import re
 import types
 
+import pytest
+
 import prrseq
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,3 +44,15 @@ def test_version_matches_pyproject():
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         declared = re.search(r'^version = "([^"]+)"', fh.read(), re.M).group(1)
     assert prrseq.__version__ == declared
+
+
+def test_bulk_records_keep_no_instance_dict():
+    # decompose builds one Cycle and State per cycle and extract_tree one
+    # TreeEdge per pair: slots keep each instance to its fields
+    state = prrseq.State(5, 4)
+    structure = prrseq.decompose(4)
+    edge = prrseq.extract_tree(prrseq.RuleSpec.parse("sala:n=4")).edges[0]
+    for record in (state, structure.pcr_cycles[0], structure, edge):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(AttributeError):
+        state.value = 6

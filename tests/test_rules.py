@@ -29,8 +29,10 @@ from prrseq import (
 )
 from prrseq.canonical import is_conecklace_value, is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
+from prrseq.registers import prr_step_value
 from prrseq.rules import (
     _critical_table,
+    _exponents,
     _order_tables,
     _scan_predicate,
     critical_predicate,
@@ -51,10 +53,10 @@ ASSORTED = [
 ]
 
 
-def draw_spec(data, kind):
-    """A random spec of the given kind at an order in [25, 64], above
-    every whole-sequence check."""
-    n = data.draw(st.integers(25, 64), label="n")
+def draw_spec(data, kind, lo=25):
+    """A random spec of the given kind at an order in [lo, 64], by default
+    above every whole-sequence check."""
+    n = data.draw(st.integers(lo, 64), label="n")
     if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
         middle = data.draw(st.sets(st.integers(2, n - 2)), label="middle")
         return RuleSpec(kind, n, kset=(1, *sorted(middle), n))
@@ -298,6 +300,97 @@ class TestCriticalSets:
             scans = [bytes(map(_scan_predicate(s), range(1 << 6))) for s in (spec, beyond)]
             assert scans[0] == scans[1]
             assert _critical_table(spec) == _critical_table(beyond)
+
+
+def definitional_predicate(spec):
+    """spec's critical set as Gabric, Sawada, Williams and Wong define it:
+    the advance operators applied e(c) times, then the necklace test, and
+    each co-necklace test on the 2m-bit word of the tail and its
+    complement.  The reference for the run-length selectors."""
+    n, m = spec.n, spec.n - 1
+    mask = (1 << m) - 1
+
+    def conecklace(u):
+        return is_necklace_value((u << m) | (u ^ mask), 2 * m)
+
+    if spec.kind is RuleKind.SALA:
+        return lambda v: is_necklace_value(v & mask, m) or conecklace(v & mask)
+    e = _exponents(spec.kind, n, spec.kset, spec.k)
+    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+
+        def critical(v):
+            u = v & mask
+            if u >> (m - 1):
+                return is_necklace_value(lambda_rotate_value(u, m, e[u.bit_count()]), m)
+            return conecklace(u)
+
+        return critical
+    mid_mask = mask >> 1
+
+    def critical(v):
+        mid = (v >> 1) & mid_mask
+        if v & 1:
+            return conecklace((mid ^ mid_mask) << 1)
+        return is_necklace_value(theta_rotate_value(mid, m, e[m - mid.bit_count()]), m)
+
+    return critical
+
+
+class TestScanPredicate:
+    """The per-state predicate, which decides from run lengths before it
+    rotates, against the definitional one."""
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_spec_agrees_with_the_definition_on_every_state(self, n):
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                scan, definition = _scan_predicate(spec), definitional_predicate(spec)
+                assert [bool(scan(v)) for v in range(1 << n)] == list(
+                    map(definition, range(1 << n))
+                ), spec
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rule_walks_agree_with_the_definition_above_the_table_cap(self, kind, data):
+        # 256 rule steps from a drawn state: walk order reaches the accepted
+        # states, which random states almost never are.  Tails 0^a 1^b and
+        # 1^b 0^a hold the all-zeros, all-ones and single-run edge cases.
+        spec = draw_spec(data, kind, lo=21)
+        n, m = spec.n, spec.n - 1
+        a = data.draw(st.integers(0, m), label="a")
+        v = data.draw(
+            st.sampled_from([((1 << (m - a)) - 1), ((1 << (m - a)) - 1) << a])
+            | st.integers(0, (1 << m) - 1),
+            label="tail",
+        ) | (data.draw(st.integers(0, 1), label="top") << m)
+        scan, definition = _scan_predicate(spec), definitional_predicate(spec)
+        mask = (1 << n) - 1
+        for _ in range(256):
+            hit = definition(v)
+            assert bool(scan(v)) == hit, (spec.spec_string(), format(v, f"0{n}b"))
+            v = prr_step_value(v, n, mask) ^ hit
+
+    def test_selectors_test_at_most_one_rotation_and_mostly_none(self, monkeypatch):
+        # each state gets at most one necklace test, and only when a
+        # longest 0-run qualifies: a few percent of random tails at n = 40
+        calls = []
+
+        def counted(v, width):
+            calls.append(v)
+            return is_necklace_value(v, width)
+
+        monkeypatch.setattr(prrseq.rules, "is_necklace_value", counted)
+        rng = random.Random(40)
+        for spec in _seeded_specs(rng, 40)[1:]:  # sala tests every tail
+            scan, definition = _scan_predicate(spec), definitional_predicate(spec)
+            tested = 0
+            for v in [rng.getrandbits(40) for _ in range(4000)]:
+                calls.clear()
+                assert scan(v) == definition(v), (spec, v)
+                assert len(calls) <= 1
+                tested += len(calls)
+            assert tested < 4000 // 8, spec
 
 
 def _seeded_specs(rng, n):
