@@ -72,11 +72,9 @@ def is_conecklace_value(v: int, m: int) -> bool:
         return False
     z = m - v.bit_length()
     y = (v ^ (v >> 1)) ^ ((1 << (m - 1)) - 1)  # bit b: bits b and b + 1 of v agree
-    for _ in range(z - 1):
+    for _ in range(z - 1):  # then y marks where runs of z + 1 equal bits start
         y &= y << 1
-    if y:  # a run of z + 1 equal bits
-        return False
-    return is_necklace_value((v << m) | (v ^ ((1 << m) - 1)), 2 * m)
+    return not y and is_necklace_value((v << m) | (v ^ ((1 << m) - 1)), 2 * m)
 
 
 @lru_cache(maxsize=4)

@@ -248,21 +248,22 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
         return critical
     e = _exponents(spec.kind, n, spec.kset, spec.k)
 
-    def necklace_at(w: int, before: int, ones: bool) -> bool:  # w starts with 1
-        for s in _longest_zero_runs(w, m):  # at most one has `before` ahead
-            if (w >> (m - s)).bit_count() == (before if ones else s - before):
+    def necklace_at(w: int, counted: int, before: int) -> bool:  # w starts with 1
+        for s in _longest_zero_runs(w, m):  # at most one has `before` ones of counted ahead
+            if (counted >> (m - s)).bit_count() == before:
                 return is_necklace_value(rotate_left_value(w, m, s), m)
         return False
 
     if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):  # lambda^e: past the e(c)-th one
         return psi_critical_predicate(
-            n, lambda u: u == mask or necklace_at(u, e[u.bit_count()], True)
+            n, lambda u: u == mask or necklace_at(u, u, e[u.bit_count()])
         )
 
     def upsilon_selector(u: int) -> bool:
         # theta^e: to the (e(z)+1)-th zero, the (e(z)-a+1)-th mod z past u's a leading 0s
         a, z = m - u.bit_length(), m - u.bit_count()
-        return not u or necklace_at(((u << a) | (u >> (m - a))) & mask, (e[z] - a) % z, False)
+        w = ((u << a) | (u >> (m - a))) & mask
+        return not u or necklace_at(w, w ^ mask, (e[z] - a) % z)
 
     return upsilon_critical_predicate(n, upsilon_selector)
 
