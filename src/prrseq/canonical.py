@@ -51,11 +51,14 @@ def is_necklace_value(v: int, m: int) -> bool:
 
 
 def _longest_zero_runs(v: int, m: int) -> List[int]:
-    """Start indices of the longest 0-runs of the m-bit word v, which
-    starts with 1 and has a 0, so no run wraps."""
-    y = v ^ ((1 << m) - 1)  # marks where 0-runs of length k start, k = 1
-    while longer := y & (y << 1):  # where runs of length k + 1 start
-        y = longer
+    """Start indices of the longest 0-runs of v: m bits, a 1 first, so no run wraps."""
+    y, k = v ^ ((1 << m) - 1), 1  # y marks where runs of k or more 0s start
+    while longer := y & (y << k):  # some run has 2k or more: double k
+        y, k = longer, k + k
+    while k > 1:  # then k/2, k/4, ..., 1 more 0s, where some run has them
+        k >>= 1
+        if longer := y & (y << k):
+            y = longer
     starts = []
     while y:
         starts.append(m - (y & -y).bit_length())
@@ -64,10 +67,9 @@ def _longest_zero_runs(v: int, m: int) -> List[int]:
 
 
 def is_conecklace_value(v: int, m: int) -> bool:
-    """True iff v heads its complement-rotation class, i.e. iff the 2m-bit
-    word W = v followed by ~v is a necklace.  W then ends with 1 and starts
-    with a longest 0-run, so v starts and ends with 0 and W's 0-runs are
-    v's runs of either bit: v is rejected if one is longer than its first."""
+    """True iff v heads its complement-rotation class: W = v.~v is a necklace.
+    W then ends with 1 and starts with a longest 0-run, so v starts and ends
+    with 0, and W's 0-runs are v's runs of either bit: none outruns v's first."""
     if v >> (m - 1) or v & 1:
         return False
     z = m - v.bit_length()

@@ -234,9 +234,8 @@ def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
 
 def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     """spec's critical set tested state by state: the path above the table
-    cap, and the oracle for the tables.  A selector rotates and tests a
-    tail only at a longest 0-run, where any necklace starts, that has the
-    ones (psi) or zeros (upsilon) ahead of it that e(c) advances skip."""
+    cap, and the oracle for the tables.  A necklace starts at a longest 0-run,
+    so a selector tests only the one its advances can rotate a tail to."""
     n, m = spec.n, spec.n - 1
     mask = (1 << m) - 1
     if spec.kind is RuleKind.SALA:

@@ -353,9 +353,10 @@ class TestScanPredicate:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_rule_walks_agree_with_the_definition_above_the_table_cap(self, kind, data):
-        # 256 rule steps from a drawn state: walk order reaches the accepted
-        # states, which random states almost never are.  Tails 0^a 1^b and
-        # 1^b 0^a hold the all-zeros, all-ones and single-run edge cases.
+        # 256 rule steps from a drawn state, the order generation visits
+        # states in; at n = 64 a walk meets about six critical states.
+        # Tails 0^a 1^b and 1^b 0^a hold the all-zeros, all-ones and
+        # single-run edge cases.
         spec = draw_spec(data, kind, lo=21)
         n, m = spec.n, spec.n - 1
         a = data.draw(st.integers(0, m), label="a")
