@@ -6,7 +6,7 @@ For each workload that BENCHMARK.json gates, bench/run.py runs untraced
 REPEATS times and traced once, at seed 1 and --seconds 40.  One run of
 the Tier-1 suite, as ROADMAP.md gives its command, is timed as the case
 tier1.wall_s.  Then the per-bit generation cost of criterion 09
-(cli.ns_per_bit, sala and psi2 with k = lcm(1..n-2), n = 8, 16, 32 and
+(cli.ns_per_bit, sala and psi2 with k = lcm(1..n-2), n = 8, 16, 21, 32 and
 64, 2^15 bits) is timed REPEATS times in this process.
 
 The file at the root of the checkout holds the machine, the Python
@@ -34,7 +34,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
 SECONDS = 40
 SEED = 1
-ORDERS = (8, 16, 32, 64)
+ORDERS = (8, 16, 21, 32, 64)
 BITS = 1 << 15
 
 

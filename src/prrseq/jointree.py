@@ -91,20 +91,13 @@ def _designated_member(
 
     - psi: tail.1 is the PRR successor of exactly one member, the child.
     - upsilon: it is lo, or for odd lo the successor of ~lo, which shares lo's cycle.
+    - sala: that member is hi, as lo steps onto its own cycle's
+      representative only as 0^n, whose cycle is the root.
     """
     mask = (1 << n) - 1
     if kind is RuleKind.SALA:
-        cands = [
-            m
-            for m in (lo, hi)
-            if prr_step_value(m, n, mask) == nodes[index_of[m]].representative.value
-        ]
-        if len(cands) == 1:
-            return cands[0]
-        if len(cands) == 2:
-            # Tail is a necklace and a co-necklace at once (the all-zero
-            # tail); the later cycle in representative order is the child.
-            return max(cands, key=lambda m: nodes[index_of[m]].representative.value)
+        if prr_step_value(hi, n, mask) == nodes[index_of[hi]].representative.value:
+            return hi
         raise NotSpanningError(
             f"cannot orient conjugate pair ({State(lo, n)}, {State(hi, n)})"
         )

@@ -85,6 +85,10 @@ class RuleSpec:
     k: Optional[int] = None
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", RuleKind(self.kind))
+        except ValueError:
+            raise InvalidSpecError(f"unknown rule kind {self.kind!r}") from None
         lo, hi = ORDER_LIMITS["rule"]
         if not lo <= self.n <= hi:
             raise InvalidSpecError(f"n must be in [{lo}, {hi}], got {self.n}")
@@ -267,48 +271,37 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     return upsilon_critical_predicate(n, upsilon_selector)
 
 
-@lru_cache(maxsize=4)
-def _order_tables(m: int) -> Tuple[bytes, bytes, bytes]:
-    """The sala, psi and upsilon flags over the m-bit tails, psi and upsilon
-    without their selector halves.  All co-necklaces start and end with 0:
-    psi reads those tails as they are, and upsilon reads the complement of
-    the odd tails that start with 1.  sala adds the necklaces."""
-    mask = (1 << m) - 1
-    necklaces, _, conecklaces = _fkm_walk(m)
-    psi, upsilon = bytearray(mask + 1), bytearray(mask + 1)
-    for x in conecklaces:
-        psi[x] = upsilon[mask ^ x] = 1
-    sala = bytearray(psi)
-    for x in necklaces:
-        sala[x] = 1
-    return bytes(sala), bytes(psi), bytes(upsilon)
-
-
 def _critical_table(spec: RuleSpec) -> bytes:
-    """spec's critical flags over the (n-1)-bit tails, from the necklaces.
-    The tail a selector accepts is the one that e(c) advances take to its
-    class's necklace x, of weight c and z zeros: for psi, x rotated to its
-    one number c - e(c) + 1, which theta reaches on x's complement; for
+    """spec's critical flags over the (n-1)-bit tails: one mark per register
+    cycle, from one FKM walk.  A co-necklace C (it starts and ends with 0)
+    marks C for sala and psi, and ~C, an odd tail starting with 1, for
+    upsilon.  A necklace x marks x for sala; for the others the tail that
+    e(c) advances take to x, of weight c and z zeros: for psi, x rotated to
+    its one number c - e(c) + 1, which theta reaches on x's complement; for
     upsilon, x rotated to its zero number z - e(z) + 1, z - e(z) thetas."""
     n = spec.n
     check_order(n, "table")
     m = n - 1
-    sala, psi, upsilon = _order_tables(m)
+    mask = (1 << m) - 1
+    necklaces, _, conecklaces = _fkm_walk(m)
+    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    flip = mask if upsilon else 0
+    table = bytearray(mask + 1)
+    for x in conecklaces:
+        table[x ^ flip] = 1
     if spec.kind is RuleKind.SALA:
-        return sala
-    necklaces = _fkm_walk(m)[0]
+        for x in necklaces:
+            table[x] = 1
+        return bytes(table)
     e = _exponents(spec.kind, n, spec.kset, spec.k)
-    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
-        table = bytearray(psi)
-        mask = (1 << m) - 1
-        for x in necklaces[1:]:  # 0 has no rotation starting with 1
-            c = x.bit_count()
-            table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
-    else:
-        table = bytearray(upsilon)
+    if upsilon:
         for x in necklaces[:-1]:  # all ones has no rotation starting with 0
             z = m - x.bit_count()
             table[theta_rotate_value(x, m, z - e[z]) << 1] = 1
+    else:
+        for x in necklaces[1:]:  # 0 has no rotation starting with 1
+            c = x.bit_count()
+            table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
     return bytes(table)
 
 

@@ -234,7 +234,10 @@ def test_criterion_08_canonical_predicates_vs_brute_force():
 
 
 def test_criterion_09_per_bit_cost_scales_linearly():
-    orders = (8, 16, 32, 64)
+    # n = 8 and 16 read the per-order tables; from n = 21, the first order
+    # above the table cap, every row runs the per-state test, so the 64/21
+    # ratio is the per-state test's own scaling
+    orders = (8, 16, 21, 32, 64)
     sala = {n: ns_per_bit(RuleSpec(RuleKind.SALA, n), 1 << 15, 3) for n in orders}
     psi2 = {
         n: ns_per_bit(RuleSpec(RuleKind.PSI2, n, k=math.lcm(*range(1, n - 1))), 1 << 15, 3)
@@ -243,16 +246,17 @@ def test_criterion_09_per_bit_cost_scales_linearly():
     print(f"\n{'n':>4s} {'sala ns/bit':>12s} {'psi2 ns/bit':>12s}")
     for n in orders:
         print(f"{n:>4d} {sala[n]:>12.1f} {psi2[n]:>12.1f}")
-    sala_ratio = sala[64] / sala[8]
-    psi2_ratio = psi2[64] / psi2[8]
-    ok = sala_ratio <= 16 and psi2_ratio <= 16
-    detail = (
-        f"sala {sala[8]:.0f}->{sala[64]:.0f} ns/bit ratio {sala_ratio:.1f}; "
-        f"psi2 {psi2[8]:.0f}->{psi2[64]:.0f} ns/bit ratio {psi2_ratio:.1f}"
+    ratios = {
+        (name, lo): costs[64] / costs[lo]
+        for name, costs in (("sala", sala), ("psi2", psi2))
+        for lo in (8, 21)
+    }
+    detail = "; ".join(
+        f"{name} {lo}->64 ratio {ratio:.1f}" for (name, lo), ratio in ratios.items()
     )
-    _line(9, "per-bit-scaling", ok, detail)
-    assert sala_ratio <= 16, detail
-    assert psi2_ratio <= 16, detail
+    _line(9, "per-bit-scaling", all(r <= 16 for r in ratios.values()), detail)
+    for ratio in ratios.values():
+        assert ratio <= 16, detail
 
 
 def test_criterion_10_sala_rule_end_to_end():

@@ -11,6 +11,7 @@ from prrseq import (
     verify_critical_set,
 )
 from prrseq.jointree import _cycle_index, _designated_member
+from prrseq.registers import prr_step_value
 from prrseq.rules import RuleKind, critical_predicate
 
 PASSING = [
@@ -148,14 +149,23 @@ class TestOrientation:
         """Every conjugate pair (lo, hi) at n = 3..14 bridges two cycles, and
         each closed-form child member shares its cycle with the landmark
         the rule names: psi the tail extended by 1, upsilon the tail's
-        zero-ended relabeling (assembled bit by bit here)."""
+        zero-ended relabeling (assembled bit by bit here).  For sala, lo
+        steps onto its own cycle's representative only as 0^n, the root, so
+        the member that does is hi, on exactly one pair per non-root cycle."""
         for n in range(3, 15):
             nodes, index_of = _cycle_index(n)
             top = 1 << (n - 1)
+            mask = (1 << n) - 1
             mid_mask = (1 << (n - 2)) - 1
+
+            def lands(v):
+                return prr_step_value(v, n, mask) == nodes[index_of[v]].representative.value
+
+            assert sum(lands(lo | top) for lo in range(top)) == len(nodes) - 1
             for lo in range(top):
                 hi = lo | top
                 assert index_of[lo] != index_of[hi]
+                assert lands(lo) == (lo == 0), (n, lo)
                 psi_landmark = (lo << 1) | 1
                 if lo & 1 == 0:
                     upsilon_landmark = lo

@@ -33,7 +33,6 @@ from prrseq.registers import prr_step_value
 from prrseq.rules import (
     _critical_table,
     _exponents,
-    _order_tables,
     _scan_predicate,
     critical_predicate,
     exponent_range,
@@ -131,6 +130,21 @@ class TestRuleSpecValidation:
             RuleSpec(RuleKind.PSI2, 6, kset=(1, 6))
         with pytest.raises(InvalidSpecError):
             RuleSpec(RuleKind.PSI2, 6, k=2, kset=(1, 6))
+
+    def test_string_kind_is_converted(self):
+        spec = RuleSpec("sala", 6)
+        assert spec == RuleSpec(RuleKind.SALA, 6)
+        assert spec.spec_string() == "sala:n=6"
+        assert generate_sequence(spec) == generate_sequence(RuleSpec(RuleKind.SALA, 6))
+
+    def test_string_kind_gets_its_own_parameter_checks(self):
+        assert RuleSpec("psi2", 6, k=1) == RuleSpec(RuleKind.PSI2, 6, k=1)
+        with pytest.raises(InvalidSpecError, match="psi2 takes k, not kset"):
+            RuleSpec("psi2", 6, kset=(1, 6))
+
+    def test_unknown_kind_is_invalid(self):
+        with pytest.raises(InvalidSpecError, match="unknown rule kind 'bogus'"):
+            RuleSpec("bogus", 6)
 
 
 class TestSpecParsing:
@@ -452,11 +466,14 @@ class TestCriticalTables:
         monkeypatch.setattr(prrseq.canonical, "is_conecklace_value", counted)
         monkeypatch.setattr(prrseq.rules, "is_conecklace_value", counted)
         prrseq.canonical._fkm_walk.cache_clear()
-        _order_tables.cache_clear()
-        _, psi, upsilon = _order_tables(m)
+        psi = _critical_table(RuleSpec(RuleKind.PSI2, m + 1, k=1))
+        upsilon = _critical_table(RuleSpec(RuleKind.UPSILON2, m + 1, k=0))
         assert 0 < len(calls) <= prenecklaces < 1 << (m - 1)
         assert len(set(calls)) == len(calls)
-        assert psi.count(1) == upsilon.count(1) == count_cycles(m + 1).ccr
+        # co-necklaces mark the tails that start with 0 for psi, and the odd
+        # tails for upsilon; the selectors mark the rest
+        ccr = count_cycles(m + 1).ccr
+        assert psi[: 1 << (m - 1)].count(1) == upsilon[1::2].count(1) == ccr
 
     def test_equal_specs_share_one_predicate(self):
         # below and above the table cap
