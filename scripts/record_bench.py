@@ -7,7 +7,11 @@ REPEATS times and traced once, at seed 1 and --seconds 40.  One run of
 the Tier-1 suite, as ROADMAP.md gives its command, is timed as the case
 tier1.wall_s.  Then the per-bit generation cost of criterion 09
 (cli.ns_per_bit, sala and psi2 with k = lcm(1..n-2), n = 8, 16, 21, 32 and
-64, 2^15 bits) is timed REPEATS times in this process.
+64, 2^15 bits) is timed REPEATS times in this process, from the all-zero
+state as the criterion does and, above the table cap, also from one start
+state per order drawn with random.Random(SEED): the all-zero state is an
+unrepresentative start there (psi2 at n = 64 spends most of its first 2^15
+bits on CCR arcs from it).
 
 The file at the root of the checkout holds the machine, the Python
 version and the commit, one case per end-to-end metric and per ns/bit
@@ -24,6 +28,7 @@ import json
 import math
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -99,8 +104,11 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from prrseq.cli import ns_per_bit
+    from prrseq.registers import ORDER_LIMITS
     from prrseq.rules import RuleKind, RuleSpec
 
+    rng = random.Random(SEED)
+    starts = {n: rng.getrandbits(n) for n in ORDERS if n > ORDER_LIMITS["table"][1]}
     for n in ORDERS:
         for label, spec in (
             ("sala", RuleSpec(RuleKind.SALA, n)),
@@ -108,6 +116,9 @@ def main(argv=None) -> int:
         ):
             costs = [ns_per_bit(spec, BITS, 1) for _ in range(REPEATS)]
             cases.append(case(f"ns_per_bit.{label}", n, "ns/bit", costs))
+            if n in starts:
+                costs = [ns_per_bit(spec, BITS, 1, starts[n]) for _ in range(REPEATS)]
+                cases.append(case(f"ns_per_bit_random_start.{label}", n, "ns/bit", costs))
 
     record = {
         "label": args.label,
@@ -115,7 +126,8 @@ def main(argv=None) -> int:
         "commit": provenance["commit"],
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "cpu_count": os.cpu_count()},
-        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS, "bits": BITS},
+        "settings": {"seed": SEED, "seconds": SECONDS, "repeats": REPEATS, "bits": BITS,
+                     "random_starts": {n: format(v, f"0{n}b") for n, v in starts.items()}},
         "cases": cases,
         "traced": traced,
     }

@@ -143,12 +143,13 @@ def cmd_tree(args) -> int:
     return EXIT_OK
 
 
-def ns_per_bit(spec: RuleSpec, bits: int, repeat: int) -> float:
-    """Generation cost from the all-zero state in ns per bit: the least
-    of repeat timed runs of bits bits each (both at least 1)."""
+def ns_per_bit(spec: RuleSpec, bits: int, repeat: int, start: int = 0) -> float:
+    """Generation cost from the state start (all zeros by default) in ns
+    per bit: the least of repeat timed runs of bits bits each (both at
+    least 1)."""
     times = []
     for _ in range(repeat):
-        stream = generate(spec, State(0, spec.n), bits)
+        stream = generate(spec, State(start, spec.n), bits)
         t0 = time.perf_counter_ns()
         deque(stream, maxlen=0)
         times.append(time.perf_counter_ns() - t0)

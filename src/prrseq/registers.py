@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .canonical import _fkm_walk
 from .core import MAX_LENGTH, State
@@ -55,6 +55,17 @@ def prr_step_value(v: int, n: int, mask: int) -> int:
     return ((v << 1) & mask) | b
 
 
+def prr_leap_value(v: int, n: int) -> int:
+    """The state n - 1 PRR steps after the n-bit value v, in closed form.
+
+    The oldest bit XOR the youngest bit, c, is the same along a PRR
+    cycle, so each step shifts in the second-oldest bit XOR c: the next
+    n - 1 steps shift in v's last n - 1 bits, each XOR c.  So the walk
+    reads v's tail, then the tail XOR c, then the tail again."""
+    m = n - 1
+    return (v & 1) << m | (v ^ -(((v >> m) ^ v) & 1)) & ((1 << m) - 1)
+
+
 def prr_next_bit(s: State) -> int:
     """Parity of the oldest, second-oldest, and youngest bits."""
     check_order(s.n, "rule")
@@ -80,22 +91,14 @@ def classify_state(s: State) -> CycleKind:
 class Cycle:
     """One cycle of the PRR state graph.
 
-    Member states are regenerated on demand from the representative
-    rather than stored, so a full decomposition keeps O(2^n) bytes of
+    Member states are not stored: they are the period PRR steps from the
+    representative, so a full decomposition keeps O(2^n) bytes of
     bookkeeping instead of O(n 2^n) of state objects.
     """
 
     representative: State
     kind: CycleKind
     period: int
-
-    def state_values(self) -> Iterator[int]:
-        n = self.representative.n
-        mask = (1 << n) - 1
-        v = self.representative.value
-        for _ in range(self.period):
-            yield v
-            v = prr_step_value(v, n, mask)
 
 
 @dataclass(frozen=True, slots=True)

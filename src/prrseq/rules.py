@@ -31,8 +31,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
-from .core import State, rotate_left_value, theta_rotate_value
-from .registers import ORDER_LIMITS, check_order, prr_step_value
+from .core import State, _index_of_jth_one, rotate_left_value, theta_rotate_value
+from .registers import ORDER_LIMITS, check_order, prr_leap_value, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
 TailSelector = Callable[[int], bool]
@@ -354,6 +354,8 @@ def generate(
     at position j, so the first n bits spell out the start state.
 
     start defaults to all zeros, count to the full period 2^n (n <= 24).
+    Above the table cap the walk goes arc by arc (_arcs); up to it, state
+    by state with one table lookup per bit.
     """
     n = spec.n
     if start is None:
@@ -366,6 +368,13 @@ def generate(
         count = 1 << n
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if n > ORDER_LIMITS["table"][1]:
+        arcs = _arcs(spec, v)
+        while count > 0:
+            block = next(arcs)[:count]
+            yield from block
+            count -= len(block)
+        return
     critical = critical_predicate(spec)
     step = prr_step_value  # a local name saves a global lookup per bit
     mask = (1 << n) - 1
@@ -373,6 +382,112 @@ def generate(
     for _ in range(count):
         yield (v >> top) & 1
         v = step(v, n, mask) ^ critical(v)
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_BIT = (b"\x00", b"\x01")
+
+
+def _arcs(spec: RuleSpec, v: int) -> Iterator[bytes]:
+    """The rule's walk from state v, one block of bits per arc: the plain
+    PRR steps up to and including the next critical state.
+
+    From v, with tail u and c its oldest bit XOR its youngest, the plain
+    steps emit v's oldest bit, then u, then u XOR c (prr_leap_value): the
+    tails ahead are u's rotations on a PCR cycle (c = 0) and the windows
+    of u followed by ~u on a CCR cycle.  So only the offset d of the first
+    critical tail is needed; the block is the d + 1 oldest bits up to it,
+    and the walk jumps to its successor with the feedback complemented."""
+    n, m = spec.n, spec.n - 1
+    mask, hi, state_mask = (1 << m) - 1, m - 1, (1 << n) - 1
+    critical = critical_predicate(spec)
+    pcr_offset = _pcr_offset(spec)
+    step = prr_step_value
+    while True:
+        u = v & mask
+        if critical(u):  # 20-50% of arcs, and every constant PCR tail, end here
+            yield _BIT[v >> m]
+            v = step(v, n, state_mask) ^ 1
+            continue
+        if ((v >> m) ^ v) & 1:  # CCR: the complement-rotations of u, in turn
+            d, t = 1, (u << 1 | u >> hi ^ 1) & mask
+            while not critical(t):
+                d += 1
+                t = (t << 1 | t >> hi ^ 1) & mask
+        else:
+            d = pcr_offset(u)
+            t = rotate_left_value(u, m, d)
+        word = (v << m | prr_leap_value(v, n) & mask) >> (2 * m - d)
+        yield bin(word | 2 << d)[3:].encode().translate(_BITS)
+        v = step((word & 1) << m | t, n, state_mask) ^ 1
+
+
+def _split_run(y: int, m: int) -> range:
+    """The t for which y = 0^L B (B starts and ends with 1) rotated left by t,
+    0^(L-t) B 0^t, passes the co-necklace run filter: no run of B, and not
+    the last t 0s, is longer than the first L - t."""
+    b = y.bit_length()
+    run = m - b
+    agree = ~(y ^ (y >> 1)) & ((1 << (b - 1)) - 1)  # bit i: B's bits i and i + 1 agree
+    longest = 1  # B's longest run, counted up to run
+    while agree and longest < run:
+        agree &= agree << 1
+        longest += 1
+    return range(1, min(run // 2, run - longest) + 1)
+
+
+def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
+    """For a tail u on a PCR cycle, neither critical nor constant, the
+    offset d of the first critical tail among its rotations: the tail
+    rotated left by d.
+
+    u's class holds its necklace N's own mark, at the closed-form offset
+    _critical_table uses, and the co-necklace marks that fall in it.  A
+    co-necklace C (~C for upsilon) starts and ends with 0, so it splits the
+    class's one longest 0-run into its last and its first 0s, and no other
+    run, nor its last 0s, is longer than its first (_split_run).  Each such
+    split that comes before the best offset so far goes to the predicate."""
+    m = spec.n - 1
+    mask = (1 << m) - 1
+    critical = critical_predicate(spec)
+    divisors = [q for q in range(1, m + 1) if m % q == 0]
+    kind = spec.kind
+    upsilon = kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    e = None if kind is RuleKind.SALA else _exponents(kind, spec.n, spec.kset, spec.k)
+
+    def offset(u: int) -> int:
+        a = m - u.bit_length()  # u rotated left by a starts with 1: no 0-run wraps
+        w = ((u << a) | (u >> (m - a))) & mask
+        starts = _longest_zero_runs(w, m)  # N is w rotated to one of them
+        tied = len(starts) > 1
+        s = min(starts, key=lambda s: rotate_left_value(w, m, s)) if tied else starts[0]
+        x = rotate_left_value(w, m, s)  # N, which is u rotated left by a + s
+        a += s
+        p = next(q for q in divisors if rotate_left_value(x, m, q) == x) if tied else m
+        if e is None:
+            best = a % p
+        elif upsilon:
+            z = m - x.bit_count()
+            best = (a + _index_of_jth_one(x ^ mask, m, (z - e[z]) % z + 1) + 1) % p
+        else:
+            c = x.bit_count()
+            best = (a + _index_of_jth_one(x, m, (c - e[c]) % c + 1)) % p
+        if p < m:  # a periodic class has two longest runs: no co-necklace
+            return best
+        if upsilon:  # ~C is a rotation of N: split ~N's longest 0-run
+            y = x ^ mask
+            ones = _longest_zero_runs(y, m)
+            if len(ones) > 1:
+                return best
+            a += ones[0]  # x is now ~N rotated to that run, u rotated left by a
+            x = rotate_left_value(y, m, ones[0])
+        for t in _split_run(x, m):
+            f = (a + t) % m
+            if f < best and critical(rotate_left_value(u, m, f)):
+                best = f
+        return best
+
+    return offset
 
 
 @dataclass(frozen=True)

@@ -153,19 +153,19 @@ def run_count(v, n):
     return ((v ^ (v >> 1)) & ((1 << (n - 1)) - 1)).bit_count() + 1
 
 
-def test_criterion_06_cycle_uniformity():
+def test_criterion_06_cycle_uniformity(cycle_states):
     bad = []
     for n in range(3, 15):
         for cyc in decompose(n).cycles:
             kinds = set()
             counts = set()
-            for v in cyc.state_values():
+            for v in cycle_states(cyc):
                 kinds.add(classify_state(State(v, n)))
                 counts.add(run_count(v, n))
             if kinds != {cyc.kind} or len(counts) != 1:
                 bad.append((n, str(cyc.representative)))
     c2 = next(c for c in decompose(6).ccr_cycles if str(c.representative) == "000101")
-    run_counts = [run_count(v, 6) for v in c2.state_values()]
+    run_counts = [run_count(v, 6) for v in cycle_states(c2)]
     ok = not bad and c2.period == 10 and run_counts == [4] * 10
     _line(6, "cycle-uniformity", ok, "kind and run count constant per cycle, n=3..14")
     assert not bad, bad[:5]

@@ -18,7 +18,7 @@ from prrseq import (
     prr_next_bit,
 )
 from prrseq.core import rotate_left_value
-from prrseq.registers import ORDER_LIMITS, Cycle, CycleStructure, prr_step_value
+from prrseq.registers import ORDER_LIMITS, Cycle, CycleStructure, prr_leap_value, prr_step_value
 from prrseq.rules import _critical_table
 
 
@@ -75,6 +75,24 @@ class TestFeedback:
         shifted = State(((s.value << 1) & ((1 << s.n) - 1)) | b, s.n)
         assert run_count(shifted.value, s.n) == run_count(s.value, s.n)
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_leap_is_n_minus_1_steps_on_every_state(self, n):
+        mask = (1 << n) - 1
+        for v in range(1 << n):
+            w = v
+            for _ in range(n - 1):
+                w = prr_step_value(w, n, mask)
+            assert prr_leap_value(v, n) == w, (n, v)
+
+    @given(st.data())
+    def test_leap_is_n_minus_1_steps_at_any_order(self, data):
+        n = data.draw(st.integers(13, 64), label="n")
+        v = data.draw(st.integers(0, (1 << n) - 1), label="state")
+        w = v
+        for _ in range(n - 1):
+            w = prr_step_value(w, n, (1 << n) - 1)
+        assert prr_leap_value(v, n) == w
+
 
 class TestClassifyState:
     def test_examples(self):
@@ -84,9 +102,9 @@ class TestClassifyState:
         assert classify_state(State.from_string("010101")) is CycleKind.CCR
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_constant_on_cycles(self, n):
+    def test_constant_on_cycles(self, n, cycle_states):
         for cyc in decompose(n).cycles:
-            kinds = {classify_state(State(v, n)) for v in cyc.state_values()}
+            kinds = {classify_state(State(v, n)) for v in cycle_states(cyc)}
             assert kinds == {cyc.kind}
 
 
@@ -112,13 +130,13 @@ class TestDecompose:
             ("010101", 2),
         ]
 
-    def test_order_three_structure(self):
+    def test_order_three_structure(self, cycle_states):
         d = decompose(3)
         cycles = {
             str(c.representative): (
                 c.kind,
                 c.period,
-                sorted(format(v, "03b") for v in c.state_values()),
+                sorted(format(v, "03b") for v in cycle_states(c)),
             )
             for c in d.cycles
         }
@@ -130,20 +148,20 @@ class TestDecompose:
         }
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_partitions_all_states(self, n):
+    def test_partitions_all_states(self, n, cycle_states):
         d = decompose(n)
         seen = set()
         for cyc in d.cycles:
-            vals = set(cyc.state_values())
+            vals = set(cycle_states(cyc))
             assert len(vals) == cyc.period
             assert not vals & seen
             seen |= vals
         assert len(seen) == 1 << n
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_representative_is_least_member(self, n):
+    def test_representative_is_least_member(self, n, cycle_states):
         for cyc in decompose(n).cycles:
-            assert cyc.representative.value == min(cyc.state_values())
+            assert cyc.representative.value == min(cycle_states(cyc))
 
     @pytest.mark.parametrize("n", range(3, 19))
     def test_equals_the_state_scan(self, n):
@@ -172,11 +190,11 @@ class TestCycleMirroring:
     """Cycles of the order-n register mirror the order n-1 cycling registers."""
 
     @pytest.mark.parametrize("n", range(3, 12))
-    def test_dropping_last_bit_yields_rotation_or_complement_class(self, n):
+    def test_dropping_last_bit_yields_rotation_or_complement_class(self, n, cycle_states):
         m = n - 1
         mask = (1 << m) - 1
         for cyc in decompose(n).cycles:
-            vals = list(cyc.state_values())
+            vals = list(cycle_states(cyc))
             dropped = {v >> 1 for v in vals}
             assert len(dropped) == len(vals)
             start = min(dropped)
@@ -191,9 +209,9 @@ class TestCycleMirroring:
             assert dropped == walked
 
     @pytest.mark.parametrize("n", range(3, 13))
-    def test_uniform_run_count_per_cycle(self, n):
+    def test_uniform_run_count_per_cycle(self, n, cycle_states):
         for cyc in decompose(n).cycles:
-            counts = {run_count(v, n) for v in cyc.state_values()}
+            counts = {run_count(v, n) for v in cycle_states(cyc)}
             assert len(counts) == 1
 
 

@@ -27,13 +27,15 @@ from prrseq import (
     upsilon_critical_predicate,
     verify_critical_set,
 )
-from prrseq.canonical import is_conecklace_value, is_necklace_value
+from prrseq.canonical import _fkm_walk, is_conecklace_value, is_necklace_value
 from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
 from prrseq.registers import prr_step_value
 from prrseq.rules import (
+    _arcs,
     _critical_table,
     _exponents,
     _scan_predicate,
+    _split_run,
     critical_predicate,
     exponent_range,
 )
@@ -570,6 +572,81 @@ class TestGenerate:
     def test_next_bit_rejects_wrong_length(self):
         with pytest.raises(InvalidSpecError):
             next_bit(RuleSpec.parse("sala:n=6"), State(0, 5))
+
+
+def walk_by_states(spec, v, count):
+    """The rule's walk from state v one state at a time, one predicate call
+    per bit: the oracle for the walk by arcs."""
+    n = spec.n
+    mask = (1 << n) - 1
+    critical = critical_predicate(spec)
+    out = bytearray()
+    for _ in range(count):
+        out.append(v >> (n - 1))
+        v = prr_step_value(v, n, mask) ^ critical(v)
+    return bytes(out)
+
+
+def walk_by_arcs(spec, v, count):
+    """The first count bits of the walk from state v by arcs, its blocks joined."""
+    arcs = _arcs(spec, v)
+    out = bytearray()
+    while len(out) < count:
+        out += next(arcs)
+    return bytes(out[:count])
+
+
+def edge_tails(m):
+    """Tails 0^a 1^b and 1^b 0^a (the constant ones among them), or any tail."""
+    ramps = st.integers(0, m).flatmap(
+        lambda a: st.sampled_from([(1 << (m - a)) - 1, ((1 << (m - a)) - 1) << a])
+    )
+    return ramps | st.integers(0, (1 << m) - 1)
+
+
+class TestArcWalk:
+    """Generation by arcs: one block per plain-cycle stretch, byte-identical
+    to the walk one state at a time."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_full_period_of_every_spec(self, n):
+        # below the table cap generate walks state by state, so the arc
+        # walk is called directly here
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                assert walk_by_arcs(spec, 0, 1 << n) == walk_by_states(spec, 0, 1 << n), spec
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_generate_agrees_with_the_state_walk_above_the_table_cap(self, kind, data):
+        spec = draw_spec(data, kind, lo=21)
+        n, m = spec.n, spec.n - 1
+        v = data.draw(edge_tails(m), label="tail") | data.draw(st.integers(0, 1), label="top") << m
+        expected = walk_by_states(spec, v, 1 << 12)
+        assert bytes(generate(spec, State(v, n), 1 << 12)) == expected, spec.spec_string()
+        count = data.draw(st.integers(0, 3 * n), label="count")  # cut inside a block
+        assert bytes(generate(spec, State(v, n), count)) == expected[:count]
+
+    def test_a_co_necklace_splits_the_wrapped_run_of_its_class(self):
+        # C ends with 0, so its last 0s and its leading 0s form one cyclic run
+        # of its rotation class: here 2 + 5 of the necklace's leading 7
+        m = 20
+        c = int("00000100010101010100", 2)
+        assert is_conecklace_value(c, m)
+        necklace = min(rotate_left_value(c, m, r) for r in range(m))
+        assert necklace == int("00000001000101010101", 2)
+        assert rotate_left_value(necklace, m, 2) == c
+        assert 2 in _split_run(necklace, m)
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_every_co_necklace_is_a_split_of_its_class(self, m):
+        # so none but 0 starts at a longest 0-run of its rotation class,
+        # and the arc walk's candidates hold every one
+        for c in _fkm_walk(m)[2][1:]:
+            necklace = min(rotate_left_value(c, m, r) for r in range(m))
+            assert m - c.bit_length() < m - necklace.bit_length()
+            assert any(rotate_left_value(necklace, m, t) == c for t in _split_run(necklace, m))
 
 
 class TestPluggableSelectors:
