@@ -399,9 +399,10 @@ def _arcs(spec: RuleSpec, v: int) -> Iterator[bytes]:
     critical tail is needed; the block is the d + 1 oldest bits up to it,
     and the walk jumps to its successor with the feedback complemented."""
     n, m = spec.n, spec.n - 1
-    mask, hi, state_mask = (1 << m) - 1, m - 1, (1 << n) - 1
+    mask, state_mask = (1 << m) - 1, (1 << n) - 1
     critical = critical_predicate(spec)
     pcr_offset = _pcr_offset(spec)
+    ccr_offset = _ccr_offset(spec)
     step = prr_step_value
     while True:
         u = v & mask
@@ -409,17 +410,68 @@ def _arcs(spec: RuleSpec, v: int) -> Iterator[bytes]:
             yield _BIT[v >> m]
             v = step(v, n, state_mask) ^ 1
             continue
-        if ((v >> m) ^ v) & 1:  # CCR: the complement-rotations of u, in turn
-            d, t = 1, (u << 1 | u >> hi ^ 1) & mask
-            while not critical(t):
-                d += 1
-                t = (t << 1 | t >> hi ^ 1) & mask
+        if ((v >> m) ^ v) & 1:  # CCR: the windows of u.~u
+            d, t = ccr_offset(u)
         else:
             d = pcr_offset(u)
             t = rotate_left_value(u, m, d)
         word = (v << m | prr_leap_value(v, n) & mask) >> (2 * m - d)
         yield bin(word | 2 << d)[3:].encode().translate(_BITS)
         v = step((word & 1) << m | t, n, state_mask) ^ 1
+
+
+def _least_rotation(x: int, m: int) -> Tuple[int, int, int]:
+    """(k, N, p) for an m-bit x holding both bits: N is x's least rotation,
+    x rotated left by k < p, and p is N's period.  N starts at a longest
+    0-run, and so does each of the m/p rotations that give it."""
+    mask = (1 << m) - 1
+    a = m - x.bit_length()  # x rotated left by a starts with 1: no 0-run wraps
+    w = ((x << a) | (x >> (m - a))) & mask
+    starts = _longest_zero_runs(w, m)
+    rotations = [((w << s) | (w >> (m - s))) & mask for s in starts]
+    if len(starts) == 1:
+        return (a + starts[0]) % m, rotations[0], m
+    least = min(rotations)
+    ks = [(a + s) % m for s, y in zip(starts, rotations) if y == least]
+    return min(ks), least, m // len(ks)
+
+
+def _ccr_offset(spec: RuleSpec) -> Callable[[int], Tuple[int, int]]:
+    """For a tail u on a CCR cycle, not critical, the offset d of the first
+    critical tail among the windows of w = u.~u, and that window.
+
+    Window k followed by its complement is w rotated left by k, so the one
+    co-necklace among the windows, C, is where that rotation is w's
+    necklace; upsilon marks ~C, m windows on, and the windows repeat with
+    w's period.  Before C's mark only the windows that can be another
+    class's mark go to the predicate: psi's start with 1, upsilon's end
+    with 0, and sala's, necklaces other than 0, end with 1.  Window k ends
+    with ~w's bit k - 1."""
+    m = spec.n - 1
+    mask, m2 = (1 << m) - 1, 2 * m
+    mask2 = (1 << m2) - 1
+    critical = critical_predicate(spec)
+    kind = spec.kind
+    upsilon = kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    shift = m if upsilon else 0
+    lag = 0 if kind in (RuleKind.PSI1, RuleKind.PSI2) else 1  # test w's bit k or k - 1
+    flip = mask2 if kind is RuleKind.SALA else 0  # for 1s (psi, upsilon) or 0s (sala)
+
+    def offset(u: int) -> Tuple[int, int]:
+        w = u << m | u ^ mask
+        k, _, p = _least_rotation(w, m2)
+        mark = (k + shift) % p
+        windows = w << m | w >> m  # window k is bits k..k + m - 1 of w followed by w
+        side = ((w ^ flip) >> (m2 - mark + lag)) & ((1 << (mark - 1)) - 1)
+        while side:  # bit j: window mark - 1 - j
+            j = side.bit_length() - 1
+            t = (windows >> (m2 - mark + 1 + j)) & mask
+            if critical(t):
+                return mark - 1 - j, t
+            side ^= 1 << j
+        return mark, (windows >> (m2 - mark)) & mask
+
+    return offset
 
 
 def _split_run(y: int, m: int) -> range:
@@ -450,22 +502,14 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     m = spec.n - 1
     mask = (1 << m) - 1
     critical = critical_predicate(spec)
-    divisors = [q for q in range(1, m + 1) if m % q == 0]
     kind = spec.kind
     upsilon = kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
     e = None if kind is RuleKind.SALA else _exponents(kind, spec.n, spec.kset, spec.k)
 
     def offset(u: int) -> int:
-        a = m - u.bit_length()  # u rotated left by a starts with 1: no 0-run wraps
-        w = ((u << a) | (u >> (m - a))) & mask
-        starts = _longest_zero_runs(w, m)  # N is w rotated to one of them
-        tied = len(starts) > 1
-        s = min(starts, key=lambda s: rotate_left_value(w, m, s)) if tied else starts[0]
-        x = rotate_left_value(w, m, s)  # N, which is u rotated left by a + s
-        a += s
-        p = next(q for q in divisors if rotate_left_value(x, m, q) == x) if tied else m
+        a, x, p = _least_rotation(u, m)  # N = x is u rotated left by a
         if e is None:
-            best = a % p
+            best = a
         elif upsilon:
             z = m - x.bit_count()
             best = (a + _index_of_jth_one(x ^ mask, m, (z - e[z]) % z + 1) + 1) % p
