@@ -428,9 +428,9 @@ def _least_rotation(x: int, m: int) -> Tuple[int, int, int]:
     a = m - x.bit_length()  # x rotated left by a starts with 1: no 0-run wraps
     w = ((x << a) | (x >> (m - a))) & mask
     starts = _longest_zero_runs(w, m)
+    if len(starts) == 1:  # one run, one least rotation: no list to build
+        return (a + starts[0]) % m, rotate_left_value(w, m, starts[0]), m
     rotations = [((w << s) | (w >> (m - s))) & mask for s in starts]
-    if len(starts) == 1:
-        return (a + starts[0]) % m, rotations[0], m
     least = min(rotations)
     ks = [(a + s) % m for s, y in zip(starts, rotations) if y == least]
     return min(ks), least, m // len(ks)
@@ -443,33 +443,86 @@ def _ccr_offset(spec: RuleSpec) -> Callable[[int], Tuple[int, int]]:
     Window k followed by its complement is w rotated left by k, so the one
     co-necklace among the windows, C, is where that rotation is w's
     necklace; upsilon marks ~C, m windows on, and the windows repeat with
-    w's period.  Before C's mark only the windows that can be another
-    class's mark go to the predicate: psi's start with 1, upsilon's end
-    with 0, and sala's, necklaces other than 0, end with 1.  Window k ends
-    with ~w's bit k - 1."""
+    w's period.  Before it a window is critical iff it is its class's mark:
+    the necklace N, which starts at a longest 0-run, rotated by a count.
+    Psi's starts with 1, e(c) 1s before N; upsilon's ends with 0, read as
+    y = 0 and its first m - 1 bits, e(z) 0s of y before N (z if e(z) = 0);
+    sala's is N.  Window k's longest runs have the largest L with a start of
+    L 0s in k..k+m-L, which changes only as runs enter or leave, so the
+    windows go by in stretches of one L.  Upsilon reads window k in the
+    frame of window k - 1: y is that window with its first 1 cleared."""
     m = spec.n - 1
-    mask, m2 = (1 << m) - 1, 2 * m
-    mask2 = (1 << m2) - 1
-    critical = critical_predicate(spec)
-    kind = spec.kind
-    upsilon = kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
-    shift = m if upsilon else 0
-    lag = 0 if kind in (RuleKind.PSI1, RuleKind.PSI2) else 1  # test w's bit k or k - 1
-    flip = mask2 if kind is RuleKind.SALA else 0  # for 1s (psi, upsilon) or 0s (sala)
+    mask, m2, m3 = (1 << m) - 1, 2 * m, 3 * m
+    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    sala = spec.kind is RuleKind.SALA
+    e = [] if sala else _exponents(spec.kind, spec.n, spec.kset, spec.k)
+    e = [x or z for z, x in enumerate(e)] if upsilon else e
+    lag = 1 if upsilon else 0
+    span = [(1 << (m - L + 1)) - 1 for L in range(m + 2)]
 
     def offset(u: int) -> Tuple[int, int]:
         w = u << m | u ^ mask
-        k, _, p = _least_rotation(w, m2)
-        mark = (k + shift) % p
-        windows = w << m | w >> m  # window k is bits k..k + m - 1 of w followed by w
-        side = ((w ^ flip) >> (m2 - mark + lag)) & ((1 << (mark - 1)) - 1)
-        while side:  # bit j: window mark - 1 - j
-            j = side.bit_length() - 1
-            t = (windows >> (m2 - mark + 1 + j)) & mask
-            if critical(t):
-                return mark - 1 - j, t
-            side ^= 1 << j
-        return mark, (windows >> (m2 - mark)) & mask
+        x = w << m | w >> m  # string index i is bit m3 - 1 - i; window k is k..k+m-1
+        Z = [0, x ^ ((1 << m3) - 1)]  # Z[L]: where L 0s start
+        while Z[-1]:
+            Z.append(Z[-1] & Z[1] << (len(Z) - 1))
+        L = top = len(Z) - 2
+        lead = Z[top] >> m  # w's longest 0-runs: a lone one is where C starts
+        k, _, p = _least_rotation(w, m2) if lead & (lead - 1) else (m2 - lead.bit_length(), 0, m2)
+        f, stop = 1 - lag, (k + lag * m) % p - lag
+        c0, prev, tau = u.bit_count(), -1, (u & -u).bit_length() - 2
+
+        def least(q: int, y: int, s: int, tie: bool = False) -> bool:  # rotated by s, y is least
+            S = (Z[L] >> (m2 - 1 - q + L)) & span[L]
+            return not (tie or S & (S - 1)) or is_necklace_value(rotate_left_value(y, m, s), m)
+
+        while f < stop:
+            L = min(L + 1, top)
+            while L and not (Z[L] >> (m2 - 1 - f + L)) & span[L]:
+                L -= 1
+            if not L:  # all 1s (y = 0 1^(m-1) for upsilon): its class's one tail
+                return f + lag, (x >> (m2 - f - lag)) & mask
+            # L holds until a longer run enters or none is in reach; keys: count -> start
+            end = min(m2 + L + 1 - (Z[L + 1] & ((1 << (m2 - f + L)) - 1)).bit_length(), stop)
+            starts = Z[L] & ((1 << (m3 - f)) - 1)
+            P, keys = m3 - starts.bit_length(), {}
+            while P < end + m - L:
+                R = (x >> (m3 - P)).bit_count()
+                keys[P if sala else P - R if upsilon else R] = P
+                starts ^= 1 << (m3 - 1 - P)
+                if (nxt := m3 - starts.bit_length()) > P + m - L + 1:
+                    end = min(end, P + 1)
+                P = nxt
+            for P in keys if sala else ():  # a window ending with 1 at a longest run
+                if f <= P < end and (t := (x >> (m2 - P)) & mask) & 1 and least(P, t, 0, False):
+                    return P, t
+            ones = 0 if sala else (x >> (m3 - end)) & ((1 << (end - f)) - 1)
+            r = (x >> (m3 - f)).bit_count()  # the 1s before window q
+            while ones:
+                j = ones.bit_length()
+                q = end - j
+                ones ^= 1 << (j - 1)
+                c = c0 + q - 2 * r  # window q's weight: a step swaps a bit for its complement
+                z = m + 1 - c
+                P = keys.get(q - r + e[z] - 1 if upsilon else r + e[c])
+                r += 1
+                if not upsilon:
+                    if P is not None and P <= q + m - L:
+                        if least(q, t := (x >> (m2 - q)) & mask, P - q):
+                            return q, t
+                    continue
+                tau = tau + 1 if q == prev + 1 else 0  # window q's last 0s: ~(the 1s before q)
+                prev = q
+                if c == 1:  # y = 0
+                    return q + 1, 0
+                if (merged := z - tau == e[z]) or P is not None and P <= q + m - L:
+                    y = (x >> (m2 - q)) & (mask >> 1)
+                    M = m - y.bit_length() + tau  # y's wrapped run
+                    s = m - tau if merged else P - q
+                    if (M >= L if merged else L >= M) and least(q, y, s, M == L):
+                        return q + 1, (x >> (m2 - q - 1)) & mask
+            f = end
+        return stop + lag, (x >> (m2 - stop - lag)) & mask
 
     return offset
 
@@ -518,13 +571,9 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
             best = (a + _index_of_jth_one(x, m, (c - e[c]) % c + 1)) % p
         if p < m:  # a periodic class has two longest runs: no co-necklace
             return best
-        if upsilon:  # ~C is a rotation of N: split ~N's longest 0-run
-            y = x ^ mask
-            ones = _longest_zero_runs(y, m)
-            if len(ones) > 1:
-                return best
-            a += ones[0]  # x is now ~N rotated to that run, u rotated left by a
-            x = rotate_left_value(y, m, ones[0])
+        if upsilon:  # ~C is a rotation of N: split ~N's longest 0-run (none if two)
+            k, x, _ = _least_rotation(x ^ mask, m)
+            a += k  # x is now ~N rotated to that run, u rotated left by a
         for t in _split_run(x, m):
             f = (a + t) % m
             if f < best and critical(rotate_left_value(u, m, f)):

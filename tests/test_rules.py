@@ -32,8 +32,10 @@ from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_val
 from prrseq.registers import prr_step_value
 from prrseq.rules import (
     _arcs,
+    _ccr_offset,
     _critical_table,
     _exponents,
+    _pcr_offset,
     _scan_predicate,
     _split_run,
     critical_predicate,
@@ -604,9 +606,81 @@ def edge_tails(m):
     return ramps | st.integers(0, (1 << m) - 1)
 
 
+def first_critical(critical, v, n):
+    """The first critical state after v on its plain PRR cycle, stepping one
+    state at a time: (steps, its tail).  The oracle for the arc offsets."""
+    mask = (1 << n) - 1
+    for d in itertools.count(1):
+        v = prr_step_value(v, n, mask)
+        if critical(v):
+            return d, v & (mask >> 1)
+
+
+def periodic_ccr_tails(m):
+    """Tails b ~b b ... b, of m / len(b) blocks (an odd count), whose word
+    u.~u has period 2 len(b) < 2m; any tail where m has no such block."""
+    blocks = [d for d in range(1, m) if m % d == 0 and m // d % 2] or [m]
+    return st.sampled_from(blocks).flatmap(
+        lambda d: st.integers(0, (1 << d) - 1).map(
+            lambda b: sum((b ^ ((1 << d) - 1) * (i % 2)) << (m - d - d * i) for i in range(m // d))
+        )
+    )
+
+
+def assert_offsets(spec, critical, tails):
+    """The arc offsets of each tail's CCR and PCR states that are not
+    critical agree with the window-by-window scan."""
+    n, m = spec.n, spec.n - 1
+    ccr, pcr = _ccr_offset(spec), _pcr_offset(spec)
+    for u in tails:
+        for top in (1 - (u & 1), u & 1):  # CCR, then PCR
+            v = top << m | u
+            if critical(v):
+                continue
+            d, t = first_critical(critical, v, n)
+            if top != u & 1:
+                assert ccr(u) == (d, t), (spec, v)
+            else:
+                assert pcr(u) == d, (spec, v)
+
+
 class TestArcWalk:
     """Generation by arcs: one block per plain-cycle stretch, byte-identical
     to the walk one state at a time."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_offsets_of_every_tail_match_the_scan(self, n):
+        # one drawn spec per family, the table predicate as reference
+        rng = random.Random(n)
+        for kind in RuleKind:
+            spec = rng.choice(list(all_specs(kind, n)))
+            assert_offsets(spec, critical_predicate(spec), range(1 << (n - 1)))
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_offsets_match_the_scan_above_the_table_cap(self, kind, data):
+        spec = draw_spec(data, kind, lo=21)
+        m = spec.n - 1
+        u = data.draw(edge_tails(m) | periodic_ccr_tails(m), label="tail")
+        assert_offsets(spec, _scan_predicate(spec), [u])
+
+    def test_a_selector_mark_one_window_on_ends_the_arc(self):
+        # window 1 of u.~u starts with 1 and is its class's psi2 mark, long
+        # before the co-necklace's, at 29
+        spec = RuleSpec.parse("psi2:n=21:k=5")
+        u = int("11101010011110110101", 2)
+        t = int("11010100111101101010", 2)
+        assert _ccr_offset(spec)(u) == (1, t) == first_critical(critical_predicate(spec), u, 21)
+        assert _scan_predicate(spec)(t)
+
+    def test_only_the_co_necklace_mark_ends_the_arc(self):
+        # none of the 12 windows before the co-necklace is its class's mark
+        spec = RuleSpec.parse("psi2:n=21:k=5")
+        u = int("11001000000010000000", 2)
+        c = int("00000000011011111110", 2)
+        assert is_conecklace_value(c, 20)
+        assert _ccr_offset(spec)(u) == (13, c) == first_critical(critical_predicate(spec), 1 << 20 | u, 21)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_full_period_of_every_spec(self, n):
