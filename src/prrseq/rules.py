@@ -449,8 +449,8 @@ def _ccr_offset(spec: RuleSpec) -> Callable[[int], Tuple[int, int]]:
     y = 0 and its first m - 1 bits, e(z) 0s of y before N (z if e(z) = 0);
     sala's is N.  Window k's longest runs have the largest L with a start of
     L 0s in k..k+m-L, which changes only as runs enter or leave, so the
-    windows go by in stretches of one L.  Upsilon reads window k in the
-    frame of window k - 1: y is that window with its first 1 cleared."""
+    windows go by in stretches of one L.  Psi reads the windows at 1s;
+    upsilon reads window k as y, window k - 1 (at a 1) with that 1 cleared."""
     m = spec.n - 1
     mask, m2, m3 = (1 << m) - 1, 2 * m, 3 * m
     upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
@@ -476,8 +476,9 @@ def _ccr_offset(spec: RuleSpec) -> Callable[[int], Tuple[int, int]]:
             S = (Z[L] >> (m2 - 1 - q + L)) & span[L]
             return not (tie or S & (S - 1)) or is_necklace_value(rotate_left_value(y, m, s), m)
 
-        while f < stop:
-            L = min(L + 1, top)
+        while (f := f if sala else m3 - (x & ((1 << (m3 - f)) - 1)).bit_length()) < stop:
+            while (Z[L + 1] >> (m2 - f + L)) & span[L + 1]:
+                L += 1
             while L and not (Z[L] >> (m2 - 1 - f + L)) & span[L]:
                 L -= 1
             if not L:  # all 1s (y = 0 1^(m-1) for upsilon): its class's one tail
