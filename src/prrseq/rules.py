@@ -573,8 +573,8 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
         if p < m:  # a periodic class has two longest runs: no co-necklace
             return best
         if upsilon:  # ~C is a rotation of N: split ~N's longest 0-run (none if two)
-            k, x, _ = _least_rotation(x ^ mask, m)
-            a += k  # x is now ~N rotated to that run, u rotated left by a
+            s = _longest_zero_runs(x ^ mask, m)[0]
+            a, x = a + s, rotate_left_value(x ^ mask, m, s)  # ~N at that run: u rotated by a
         for t in _split_run(x, m):
             f = (a + t) % m
             if f < best and critical(rotate_left_value(u, m, f)):
