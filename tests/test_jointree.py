@@ -1,18 +1,28 @@
+import random
+from functools import lru_cache
+from typing import Dict, List
+
 import pytest
 
 from prrseq import (
     CycleKind,
+    CycleTree,
     NotPairedError,
     NotSpanningError,
     OrderOutOfRangeError,
     RuleSpec,
+    State,
+    TreeEdge,
+    ValidationReport,
+    all_specs,
     count_cycles,
+    decompose,
     extract_tree,
     verify_critical_set,
 )
-from prrseq.jointree import _cycle_index, _designated_member
+from prrseq.jointree import _cycle_index
 from prrseq.registers import prr_step_value
-from prrseq.rules import RuleKind, critical_predicate
+from prrseq.rules import RuleKind, critical_predicate, exponent_range
 
 PASSING = [
     "sala:n=3",
@@ -44,6 +54,169 @@ def edge_map(tree):
         str(tree.nodes[e.child].representative): str(tree.nodes[e.parent].representative)
         for e in tree.edges
     }
+
+
+def toggled(spec, *states):
+    """The spec's critical set with the given states' membership flipped."""
+    base = critical_predicate(spec)
+    flip = {int(s, 2) for s in states}
+    return lambda v: bool(base(v)) ^ (v in flip)
+
+
+# --- the per-pair oracle ----------------------------------------------------
+# extract_tree and verify_critical_set as they were before the tree was built
+# from flat per-order arrays: one PRR step per state for the index, one
+# TreeEdge per pair and dicts for the walk.  The fast path must agree with it
+# on every tree, report and failure message.
+
+
+@lru_cache(maxsize=4)
+def stepped_index(n):
+    """Cycles sorted by representative plus a value -> node index table,
+    filled by stepping the PRR from each representative."""
+    nodes = tuple(sorted(decompose(n).cycles, key=lambda c: c.representative.value))
+    mask = (1 << n) - 1
+    index_of = [0] * (mask + 1)
+    for i, cyc in enumerate(nodes):
+        v = cyc.representative.value
+        for _ in range(cyc.period):
+            index_of[v] = i
+            v = prr_step_value(v, n, mask)
+    return nodes, index_of
+
+
+def designated_member(kind, n, lo, hi, nodes, index_of):
+    """Which member of the conjugate pair (lo, hi) lies in the child cycle.
+
+    - psi: tail.1 is the PRR successor of exactly one member, the child.
+    - upsilon: it is lo, or for odd lo the successor of ~lo, which shares lo's cycle.
+    - sala: that member is hi, as lo steps onto its own cycle's
+      representative only as 0^n, whose cycle is the root.
+    """
+    mask = (1 << n) - 1
+    if kind is RuleKind.SALA:
+        if prr_step_value(hi, n, mask) == nodes[index_of[hi]].representative.value:
+            return hi
+        raise NotSpanningError(
+            f"cannot orient conjugate pair ({State(lo, n)}, {State(hi, n)})"
+        )
+    if kind in (RuleKind.PSI1, RuleKind.PSI2):
+        return lo if prr_step_value(lo, n, mask) & 1 else hi
+    return lo
+
+
+def extract_tree_by_pairs(spec, critical=None):
+    n = spec.n
+    if critical is None:
+        critical = critical_predicate(spec)
+    nodes, index_of = stepped_index(n)
+    size = 1 << n
+    top = 1 << (n - 1)
+    deviations = [v for v in range(size) if critical(v)]
+    flags = bytearray(size)
+    for v in deviations:
+        flags[v] = 1
+    pairs = []
+    for v in deviations:
+        if not flags[v ^ top]:
+            raise NotPairedError(
+                f"state {State(v, n)} is critical but its conjugate "
+                f"{State(v ^ top, n)} is not"
+            )
+        if not v & top:
+            pairs.append(v)
+    if len(pairs) != len(nodes) - 1:
+        raise NotSpanningError(
+            f"{len(deviations)} critical states cannot span {len(nodes)} cycles "
+            f"(need exactly {2 * (len(nodes) - 1)})"
+        )
+    parent_edge: Dict[int, TreeEdge] = {}
+    for lo in pairs:
+        member = designated_member(spec.kind, n, lo, lo | top, nodes, index_of)
+        edge = TreeEdge(
+            child=index_of[member],
+            parent=index_of[member ^ top],
+            child_state=State(member, n),
+        )
+        if edge.child in parent_edge:
+            raise NotSpanningError(
+                f"cycle ({nodes[edge.child].representative}) is designated by "
+                f"two conjugate pairs"
+            )
+        parent_edge[edge.child] = edge
+    root = next(i for i in range(len(nodes)) if i not in parent_edge)
+    reached = {root}
+    for i in range(len(nodes)):
+        path = []
+        j = i
+        while j not in reached:
+            path.append(j)
+            if len(path) > len(nodes):
+                raise NotSpanningError(
+                    f"cycle ({nodes[i].representative}) cannot reach the root"
+                )
+            j = parent_edge[j].parent
+        reached.update(path)
+    edges = tuple(parent_edge[i] for i in sorted(parent_edge))
+    return CycleTree(nodes=nodes, edges=edges, root=root)
+
+
+def verify_by_pairs(spec, critical=None):
+    tree = extract_tree_by_pairs(spec, critical)
+    nodes = tree.nodes
+    failures: List[str] = []
+    if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
+        for e in tree.edges:
+            p = nodes[e.parent].representative
+            c = nodes[e.child].representative
+            if p.value >= c.value:
+                failures.append(f"parent ({p}) does not precede child ({c})")
+    else:
+        parent_of = {e.child: e.parent for e in tree.edges}
+        for e in tree.edges:
+            child = nodes[e.child]
+            if child.kind is CycleKind.CCR and e.parent != tree.root:
+                anchor = nodes[parent_of[e.parent]].representative
+                if anchor.value >= child.representative.value:
+                    failures.append(
+                        f"cycle ({child.representative}) does not follow its "
+                        f"parent's anchor ({anchor})"
+                    )
+    return ValidationReport(
+        spec=spec,
+        cycle_count=len(nodes),
+        deviation_count=2 * len(tree.edges),
+        root_representative=nodes[tree.root].representative,
+        ok=not failures,
+        failures=tuple(failures),
+        tree=tree,
+    )
+
+
+def outcome(verify, spec, critical=None):
+    """What a validator makes of a critical set: the report's tree, DOT,
+    summary and failures, or the exception's type and message."""
+    try:
+        report = verify(spec, critical)
+    except (NotPairedError, NotSpanningError) as exc:
+        return type(exc).__name__, str(exc)
+    tree = report.tree
+    return tree.nodes, tree.edges, tree.root, tree.to_dot(), report.summary(), report.failures
+
+
+def seeded_specs(rng, n):
+    """One spec per family at order n, with kset and k drawn from rng."""
+    specs = []
+    for kind in RuleKind:
+        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+            middle = [c for c in range(2, n - 1) if rng.random() < 0.5]
+            specs.append(RuleSpec(kind, n, kset=(1, *middle, n)))
+        elif kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+            valid = exponent_range(kind, n)
+            specs.append(RuleSpec(kind, n, k=rng.randint(valid[0], valid[-1])))
+        else:
+            specs.append(RuleSpec(kind, n))
+    return specs
 
 
 class TestExtractTree:
@@ -106,30 +279,59 @@ class TestExtractTree:
 
 
 class TestNegativeControls:
+    """Every structural failure names what failed; the messages are pinned."""
+
     def test_unpaired_state_detected(self):
         spec = RuleSpec.parse("psi2:n=6:k=1")
-        base = critical_predicate(spec)
-        with pytest.raises(NotPairedError):
-            extract_tree(spec, lambda v: base(v) ^ (v == 0b000011))
+        with pytest.raises(NotPairedError) as err:
+            extract_tree(spec, toggled(spec, "000011"))
+        assert str(err.value) == "state 000011 is critical but its conjugate 100011 is not"
+
+    def test_least_unpaired_state_named(self):
+        # 000010 dropped leaves 100010 unpaired; 000111 and 000101 added are
+        # unpaired too, and the least of the three is named
+        spec = RuleSpec.parse("psi2:n=6:k=1")
+        with pytest.raises(NotPairedError) as err:
+            extract_tree(spec, toggled(spec, "000010", "000111", "000101"))
+        assert str(err.value) == "state 000101 is critical but its conjugate 100101 is not"
+
+    def test_least_unpaired_upper_state_named(self):
+        # only states with top bit 1 are unpaired: 100000 and 100100
+        spec = RuleSpec.parse("psi2:n=6:k=1")
+        with pytest.raises(NotPairedError) as err:
+            extract_tree(spec, toggled(spec, "000100", "000000"))
+        assert str(err.value) == "state 100000 is critical but its conjugate 000000 is not"
 
     def test_missing_pair_detected(self):
         spec = RuleSpec.parse("psi2:n=6:k=1")
-        base = critical_predicate(spec)
-        with pytest.raises(NotSpanningError):
-            extract_tree(spec, lambda v: base(v) and v not in (0b000000, 0b100000))
+        with pytest.raises(NotSpanningError) as err:
+            extract_tree(spec, toggled(spec, "000000", "100000"))
+        assert str(err.value) == "20 critical states cannot span 12 cycles (need exactly 22)"
 
-    def test_doubled_pair_detected(self):
+    def test_extra_pair_detected(self):
         spec = RuleSpec.parse("upsilon2:n=6:k=1")
-        base = critical_predicate(spec)
         # the kind's own predicate plus a foreign conjugate pair
-        with pytest.raises(NotSpanningError):
-            extract_tree(spec, lambda v: base(v) or v in (0b000011, 0b100011))
+        with pytest.raises(NotSpanningError) as err:
+            extract_tree(spec, toggled(spec, "000011", "100011"))
+        assert str(err.value) == "24 critical states cannot span 12 cycles (need exactly 22)"
 
     def test_wrong_kind_predicate_detected(self):
         ups = RuleSpec.parse("upsilon2:n=6:k=1")
         psi_pred = critical_predicate(RuleSpec.parse("psi2:n=6:k=1"))
-        with pytest.raises(NotSpanningError):
+        with pytest.raises(NotSpanningError) as err:
             extract_tree(ups, psi_pred)
+        assert str(err.value) == "cycle (000010) is designated by two conjugate pairs"
+
+    @pytest.mark.parametrize(
+        "text, drop, add, designated",
+        [("psi2:n=6:k=1", "000000", "000101", "000101"),
+         ("upsilon2:n=6:k=1", "000000", "000001", "000001")],
+    )
+    def test_doubled_pair_detected(self, text, drop, add, designated):
+        spec = RuleSpec.parse(text)
+        with pytest.raises(NotSpanningError) as err:
+            extract_tree(spec, swapped_pair(spec, drop, add))
+        assert str(err.value) == f"cycle ({designated}) is designated by two conjugate pairs"
 
     def test_unreachable_root_detected(self):
         spec = RuleSpec.parse("psi2:n=6:k=1")
@@ -172,15 +374,79 @@ class TestOrientation:
                 else:
                     c1 = (lo >> (n - 2)) & 1
                     upsilon_landmark = (((lo >> 1) ^ mid_mask) << 2) | c1
-                psi = _designated_member(RuleKind.PSI2, n, lo, hi, nodes, index_of)
-                upsilon = _designated_member(RuleKind.UPSILON2, n, lo, hi, nodes, index_of)
+                psi = designated_member(RuleKind.PSI2, n, lo, hi, nodes, index_of)
+                upsilon = designated_member(RuleKind.UPSILON2, n, lo, hi, nodes, index_of)
                 assert index_of[psi] == index_of[psi_landmark], (n, lo)
                 assert index_of[upsilon] == index_of[upsilon_landmark] == index_of[lo], (n, lo)
             # sala orients (0^n, 10^(n-1)) away from 0^n, and 01^(n-1) lies
             # in the least complementing cycle.
-            assert _designated_member(RuleKind.SALA, n, 0, top, nodes, index_of) == top
+            assert designated_member(RuleKind.SALA, n, 0, top, nodes, index_of) == top
             least_ccr = min(i for i, c in enumerate(nodes) if c.kind is CycleKind.CCR)
             assert index_of[top - 1] == least_ccr
+
+
+class TestPerPairOracle:
+    """The flat-array tree against the per-pair oracle: the same nodes,
+    edges, root, DOT text, summary and order failures, or the same error."""
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_index_matches_stepping(self, n):
+        assert _cycle_index(n) == stepped_index(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_spec(self, n):
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                assert outcome(verify_critical_set, spec) == outcome(verify_by_pairs, spec), spec
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_seeded_specs(self, n):
+        for spec in seeded_specs(random.Random(n), n):
+            assert outcome(verify_critical_set, spec) == outcome(verify_by_pairs, spec), spec
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_mutated_sets(self, n):
+        """Random flips of one to three states, flipped conjugate pairs and
+        swapped pairs (half of them for a pair designating the same cycle):
+        unpaired states, wrong counts, unorientable, doubly designated or
+        cut-off cycles, and order failures all come out alike."""
+        rng = random.Random(n)
+        specs = [s for kind in RuleKind for s in all_specs(kind, n)]
+        nodes, index_of = stepped_index(n)
+        top = 1 << (n - 1)
+
+        def child(kind, lo):
+            try:
+                return index_of[designated_member(kind, n, lo, lo | top, nodes, index_of)]
+            except NotSpanningError:
+                return None
+
+        seen = set()
+        for _ in range(200):
+            spec = rng.choice(specs)
+            base = critical_predicate(spec)
+            lows = [v for v in range(top) if base(v)]
+            how = rng.randrange(4)
+            if how == 0:
+                flip = set(rng.sample(range(2 * top), rng.randint(1, 3)))
+            elif how == 1:
+                v = rng.randrange(top)
+                flip = {v, v | top}
+            else:
+                drop = rng.choice(lows)
+                others = [v for v in range(top) if not base(v)]
+                if how == 3:
+                    same = child(spec.kind, drop)
+                    others = [v for v in others if child(spec.kind, v) == same] or others
+                add = rng.choice(others)
+                flip = {drop, drop | top, add, add | top}
+            critical = lambda v, base=base, flip=flip: bool(base(v)) ^ (v in flip)  # noqa: E731
+            got = outcome(verify_critical_set, spec, critical)
+            assert got == outcome(verify_by_pairs, spec, critical), (spec, sorted(flip))
+            seen.add(got[0] if isinstance(got[0], str) else bool(got[-1]))
+        # order failures (True) take a same-child swap at n >= 7 to show up
+        want = {"NotPairedError", "NotSpanningError", False, *([True] if n >= 7 else [])}
+        assert want <= seen, seen
 
 
 class TestVerifyCriticalSet:
