@@ -20,7 +20,7 @@ from .core import State, ZeroStateError
 from .jointree import NotPairedError, NotSpanningError, verify_critical_set
 from .oracle import LengthMismatchError, enumerate_family, find_repeated_window
 from .registers import ORDER_LIMITS, OrderOutOfRangeError, check_order, decompose
-from .rules import InvalidSpecError, RuleKind, RuleSpec, SpecSyntaxError, generate
+from .rules import InvalidSpecError, RuleKind, RuleSpec, SpecSyntaxError, _bit_text, generate
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -66,18 +66,10 @@ def cmd_generate(args) -> int:
         return EXIT_OK
     sink = open(args.out, "w") if args.out else sys.stdout
     try:
-        if args.format == "cyclic":
-            sink.write("(")
-        buf = []
-        for b in generate(spec, start, count):
-            buf.append("01"[b])
-            if len(buf) >= 1 << 16:
-                sink.write("".join(buf))
-                buf.clear()
-        sink.write("".join(buf))
-        if args.format == "cyclic":
-            sink.write(")")
-        sink.write("\n")
+        cyclic = args.format == "cyclic"
+        sink.write("(" if cyclic else "")
+        sink.writelines(_bit_text(generate(spec, start, count)))
+        sink.write(")\n" if cyclic else "\n")
     finally:
         if args.out:
             sink.close()

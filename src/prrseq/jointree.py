@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import State
-from .registers import Cycle, CycleKind, check_order, decompose, prr_step_value
+from .registers import Cycle, CycleKind, check_order, decompose, prr_leap_value, prr_step_value
 from .rules import CriticalPredicate, RuleKind, RuleSpec, critical_predicate
 
 
@@ -61,49 +61,48 @@ class CycleTree:
 
 @lru_cache(maxsize=4)
 def _cycle_index(n: int):
-    """Cycles sorted by representative plus a value -> node index table."""
-    structure = decompose(n)
-    nodes = tuple(sorted(structure.cycles, key=lambda c: c.representative.value))
-    mask = (1 << n) - 1
+    """Cycles sorted by representative plus a value -> node index table.
+
+    A cycle's states are the n-bit windows of what its representative v
+    emits: v, then the tails of its next two leaps of n - 1 steps, which
+    cover a period of up to 2(n - 1)."""
+    nodes = tuple(sorted(decompose(n).cycles, key=lambda c: c.representative.value))
+    m, mask = n - 1, (1 << n) - 1
     index_of = [0] * (mask + 1)
+    shifts = range(2 * m, 0, -1)  # state j of the cycle is w >> (2m - j), masked
     for i, cyc in enumerate(nodes):
         v = cyc.representative.value
-        for _ in range(cyc.period):
-            index_of[v] = i
-            v = prr_step_value(v, n, mask)
+        a = prr_leap_value(v, n)
+        w = (v << m | a & (mask >> 1)) << m | prr_leap_value(a, n) & (mask >> 1)
+        for s in shifts[: cyc.period]:
+            index_of[(w >> s) & mask] = i
     return nodes, index_of
 
 
-def _designated_member(
-    kind: RuleKind,
-    n: int,
-    lo: int,
-    hi: int,
-    nodes: Tuple[Cycle, ...],
-    index_of: List[int],
-) -> int:
-    """Which member of the conjugate pair (lo, hi) lies in the child cycle.
+def _child_members(kind: RuleKind, n: int, lows: List[int], nodes, index_of) -> List[int]:
+    """The member of each conjugate pair (lo, lo + 2^(n-1)) that lies in the
+    child cycle: the cycle the rule marks.
 
-    The psi-class rules mark the child as the cycle containing the shared
-    tail extended by 1; the upsilon-class rules mark the cycle containing
-    the zero-ended relabeling of the tail; sala marks the cycle whose pair
-    member steps directly onto that cycle's representative.
-
-    - psi: tail.1 is the PRR successor of exactly one member, the child.
-    - upsilon: it is lo, or for odd lo the successor of ~lo, which shares lo's cycle.
-    - sala: that member is hi, as lo steps onto its own cycle's
-      representative only as 0^n, whose cycle is the root.
+    - psi marks the cycle of the shared tail extended by 1, the PRR
+      successor of exactly one member: lo iff its second-oldest and
+      youngest bits differ (its oldest is 0).
+    - upsilon marks the cycle of the tail's zero-ended relabeling: lo, or
+      for odd lo the successor of ~lo, which shares lo's cycle.
+    - sala marks the cycle whose pair member steps directly onto its
+      representative: hi, as lo does so only as 0^n, whose cycle is the root.
     """
-    mask = (1 << n) - 1
+    top = 1 << (n - 1)
     if kind is RuleKind.SALA:
-        if prr_step_value(hi, n, mask) == nodes[index_of[hi]].representative.value:
-            return hi
-        raise NotSpanningError(
-            f"cannot orient conjugate pair ({State(lo, n)}, {State(hi, n)})"
-        )
+        mask = (1 << n) - 1
+        for lo in lows:
+            if prr_step_value(lo | top, n, mask) != nodes[index_of[lo | top]].representative.value:
+                raise NotSpanningError(
+                    f"cannot orient conjugate pair ({State(lo, n)}, {State(lo | top, n)})"
+                )
+        return [lo | top for lo in lows]
     if kind in (RuleKind.PSI1, RuleKind.PSI2):
-        return lo if prr_step_value(lo, n, mask) & 1 else hi
-    return lo
+        return [lo if ((lo >> (n - 2)) ^ lo) & 1 else lo | top for lo in lows]
+    return lows
 
 
 def extract_tree(
@@ -118,63 +117,65 @@ def extract_tree(
     pairs do not form one tree spanning every cycle.
 
     Conjugates differ in the oldest bit, so in cycle kind: every pair
-    bridges two cycles.
+    bridges two cycles.  The pairing, orientation and spanning walk run on
+    flat lists of values and node indices; the edges are built at the end.
     """
     n = spec.n
     check_order(n, "tree")
     if critical is None:
         critical = critical_predicate(spec)
     nodes, index_of = _cycle_index(n)
-    size = 1 << n
+    z = len(nodes)
     top = 1 << (n - 1)
-    deviations = list(filter(critical, range(size)))
-    flags = bytearray(size)
+    deviations = list(filter(critical, range(2 * top)))
+    flags = bytearray(2 * top)
     for v in deviations:
         flags[v] = 1
-    pairs = []
-    for v in deviations:
-        if not flags[v ^ top]:
-            raise NotPairedError(
-                f"state {State(v, n)} is critical but its conjugate "
-                f"{State(v ^ top, n)} is not"
-            )
-        if not v & top:
-            pairs.append(v)
-    if len(pairs) != len(nodes) - 1:
+    if flags[:top] != flags[top:]:
+        v = next(v for v in deviations if not flags[v ^ top])
+        raise NotPairedError(
+            f"state {State(v, n)} is critical but its conjugate "
+            f"{State(v ^ top, n)} is not"
+        )
+    # Paired, so the first half of the critical states are the pairs' lo.
+    lows = deviations[: len(deviations) // 2]
+    if len(lows) != z - 1:
         raise NotSpanningError(
-            f"{len(deviations)} critical states cannot span {len(nodes)} cycles "
-            f"(need exactly {2 * (len(nodes) - 1)})"
+            f"{len(deviations)} critical states cannot span {z} cycles "
+            f"(need exactly {2 * (z - 1)})"
         )
-    parent_edge: Dict[int, TreeEdge] = {}
-    for lo in pairs:
-        hi = lo | top
-        member = _designated_member(spec.kind, n, lo, hi, nodes, index_of)
-        edge = TreeEdge(
-            child=index_of[member],
-            parent=index_of[member ^ top],
-            child_state=State(member, n),
-        )
-        if edge.child in parent_edge:
+    members = _child_members(spec.kind, n, lows, nodes, index_of)
+    # Node indices come from index_of, so the edges share its int objects.
+    children = [index_of[v] for v in members]
+    parent_of: List[Optional[int]] = [None] * z
+    member_of = [0] * z
+    for c, v in zip(children, members):
+        if parent_of[c] is not None:
             raise NotSpanningError(
-                f"cycle ({nodes[edge.child].representative}) is designated by "
+                f"cycle ({nodes[c].representative}) is designated by "
                 f"two conjugate pairs"
             )
-        parent_edge[edge.child] = edge
-    # len(nodes) - 1 distinct children leave exactly one root.
-    root = next(i for i in range(len(nodes)) if i not in parent_edge)
-    reached = {root}
-    for i in range(len(nodes)):
+        parent_of[c] = index_of[v ^ top]
+        member_of[c] = v
+    # z - 1 distinct children leave exactly one root.
+    root = parent_of.index(None)
+    reached = bytearray(z)
+    reached[root] = 1
+    for i in range(z):
         path = []
         j = i
-        while j not in reached:
+        while not reached[j]:
             path.append(j)
-            if len(path) > len(nodes):
+            if len(path) > z:
                 raise NotSpanningError(
                     f"cycle ({nodes[i].representative}) cannot reach the root"
                 )
-            j = parent_edge[j].parent
-        reached.update(path)
-    edges = tuple(parent_edge[i] for i in sorted(parent_edge))
+            j = parent_of[j]
+        for j in path:
+            reached[j] = 1
+    edges = tuple(
+        TreeEdge(c, parent_of[c], State(member_of[c], n)) for c in sorted(children)
+    )
     return CycleTree(nodes=nodes, edges=edges, root=root)
 
 
@@ -216,24 +217,23 @@ def verify_critical_set(
     """
     tree = extract_tree(spec, critical)
     nodes = tree.nodes
-    failures: List[str] = []
+    # Nodes are sorted by representative: index order is representative order.
+    pairs = [(e.child, e.parent) for e in tree.edges]
     if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
-        for e in tree.edges:
-            p = nodes[e.parent].representative
-            c = nodes[e.child].representative
-            if p.value >= c.value:
-                failures.append(f"parent ({p}) does not precede child ({c})")
+        failures = [
+            f"parent ({nodes[p].representative}) does not precede child "
+            f"({nodes[c].representative})"
+            for c, p in pairs
+            if p > c
+        ]
     else:
-        parent_of = {e.child: e.parent for e in tree.edges}
-        for e in tree.edges:
-            child = nodes[e.child]
-            if child.kind is CycleKind.CCR and e.parent != tree.root:
-                anchor = nodes[parent_of[e.parent]].representative
-                if anchor.value >= child.representative.value:
-                    failures.append(
-                        f"cycle ({child.representative}) does not follow its "
-                        f"parent's anchor ({anchor})"
-                    )
+        parent_of = dict(pairs)
+        failures = [
+            f"cycle ({nodes[c].representative}) does not follow its "
+            f"parent's anchor ({nodes[parent_of[p]].representative})"
+            for c, p in pairs
+            if p != tree.root and parent_of[p] > c and nodes[c].kind is CycleKind.CCR
+        ]
     return ValidationReport(
         spec=spec,
         cycle_count=len(nodes),

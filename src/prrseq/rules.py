@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
@@ -309,17 +310,15 @@ def _critical_table(spec: RuleSpec) -> bytes:
 def _predicate(spec: RuleSpec) -> CriticalPredicate:
     if spec.n > ORDER_LIMITS["table"][1]:
         return _scan_predicate(spec)
-    table = _critical_table(spec)
-    tail_mask = (1 << (spec.n - 1)) - 1
-    return lambda v: table[v & tail_mask]
+    return (_critical_table(spec) * 2).__getitem__  # a C call, no mask
 
 
 def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
     """Membership test for spec's critical set, over packed n-bit values.
 
     Rules read only the last n - 1 bits: up to ORDER_LIMITS["table"] the
-    test is a lookup in 2^(n-1) flags, above it a per-state test.  Built
-    once per spec (a few are cached) and called per state."""
+    test is a lookup in 2^(n-1) flags stored twice, above it a per-state
+    test.  Built once per spec (a few are cached) and called per state."""
     return _predicate(spec)
 
 
@@ -385,6 +384,7 @@ def generate(
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 _BIT = (b"\x00", b"\x01")
 
 
@@ -584,6 +584,12 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     return offset
 
 
+def _bit_text(bits: Iterator[int], chunk: int = 1 << 16) -> Iterator[str]:
+    """A stream of 0/1 ints as "0"/"1" text, chunk bits per piece."""
+    while block := bytes(islice(bits, chunk)):
+        yield block.translate(_TEXT).decode()
+
+
 @dataclass(frozen=True)
 class SequenceRecord:
     """One full period of a rule's output."""
@@ -600,5 +606,5 @@ def generate_sequence(spec: RuleSpec, start: Optional[State] = None) -> Sequence
     check_order(spec.n, "window")
     if start is None:
         start = State(0, spec.n)
-    bits = "".join("01"[b] for b in generate(spec, start, 1 << spec.n))
+    bits = "".join(_bit_text(generate(spec, start, 1 << spec.n)))
     return SequenceRecord(bits, spec, start)

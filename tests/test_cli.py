@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prrseq import RuleSpec, generate
 from prrseq.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -63,6 +64,20 @@ class TestGenerate:
         )
         assert code == 0
         assert out.strip() == "010011"
+
+    @pytest.mark.parametrize(
+        "spec, fmt",
+        [("psi2:n=10:k=5", "cyclic"), ("upsilon1:n=12:kset=1,4,12", "raw"), ("sala:n=21", "raw")],
+    )
+    def test_text_matches_the_bits(self, capsys, spec, fmt):
+        # 2^17 + 12345 bits: two whole 2^16-bit chunks and a part of one
+        count = (1 << 17) + 12345
+        code, out, _ = run(
+            capsys, "generate", "--spec", spec, "--count", str(count), "--format", fmt
+        )
+        assert code == 0
+        bits = "".join("01"[b] for b in generate(RuleSpec.parse(spec), count=count))
+        assert out == (f"({bits})" if fmt == "cyclic" else bits) + "\n"
 
     def test_count_zero_is_empty(self, capsys):
         code, out, _ = run(capsys, "generate", "--spec", "sala:n=4", "--count", "0")

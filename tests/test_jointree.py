@@ -20,7 +20,7 @@ from prrseq import (
     extract_tree,
     verify_critical_set,
 )
-from prrseq.jointree import _cycle_index
+from prrseq.jointree import _child_members, _cycle_index
 from prrseq.registers import prr_step_value
 from prrseq.rules import RuleKind, critical_predicate, exponent_range
 
@@ -364,7 +364,10 @@ class TestOrientation:
                 return prr_step_value(v, n, mask) == nodes[index_of[v]].representative.value
 
             assert sum(lands(lo | top) for lo in range(top)) == len(nodes) - 1
-            for lo in range(top):
+            lows = list(range(top))
+            psi_members = _child_members(RuleKind.PSI2, n, lows, nodes, index_of)
+            upsilon_members = _child_members(RuleKind.UPSILON2, n, lows, nodes, index_of)
+            for lo, psi, upsilon in zip(lows, psi_members, upsilon_members):
                 hi = lo | top
                 assert index_of[lo] != index_of[hi]
                 assert lands(lo) == (lo == 0), (n, lo)
@@ -374,13 +377,11 @@ class TestOrientation:
                 else:
                     c1 = (lo >> (n - 2)) & 1
                     upsilon_landmark = (((lo >> 1) ^ mid_mask) << 2) | c1
-                psi = designated_member(RuleKind.PSI2, n, lo, hi, nodes, index_of)
-                upsilon = designated_member(RuleKind.UPSILON2, n, lo, hi, nodes, index_of)
                 assert index_of[psi] == index_of[psi_landmark], (n, lo)
                 assert index_of[upsilon] == index_of[upsilon_landmark] == index_of[lo], (n, lo)
             # sala orients (0^n, 10^(n-1)) away from 0^n, and 01^(n-1) lies
             # in the least complementing cycle.
-            assert designated_member(RuleKind.SALA, n, 0, top, nodes, index_of) == top
+            assert _child_members(RuleKind.SALA, n, [0], nodes, index_of) == [top]
             least_ccr = min(i for i, c in enumerate(nodes) if c.kind is CycleKind.CCR)
             assert index_of[top - 1] == least_ccr
 

@@ -494,6 +494,12 @@ class TestGenerate:
         assert generate_sequence(RuleSpec.parse("upsilon1:n=6:kset=1,2,6")).bits == table3_rows[1]
         assert generate_sequence(RuleSpec.parse("upsilon2:n=6:k=0")).bits == table3_rows[8]
 
+    def test_full_period_text_matches_the_bits(self):
+        spec = RuleSpec.parse("upsilon2:n=17:k=3")
+        start = State(12345, 17)
+        bits = "".join("01"[b] for b in generate(spec, start, 1 << 17))
+        assert generate_sequence(spec, start).bits == bits
+
     def test_order_three_from_zero(self):
         assert generate_sequence(RuleSpec.parse("psi2:n=3:k=1")).bits == "00011101"
 
