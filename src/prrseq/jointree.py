@@ -218,20 +218,20 @@ def verify_critical_set(
     tree = extract_tree(spec, critical)
     nodes = tree.nodes
     # Nodes are sorted by representative: index order is representative order.
-    pairs = [(e.child, e.parent) for e in tree.edges]
+    links = [(e.child, e.parent) for e in tree.edges]
     if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
         failures = [
             f"parent ({nodes[p].representative}) does not precede child "
             f"({nodes[c].representative})"
-            for c, p in pairs
+            for c, p in links
             if p > c
         ]
     else:
-        parent_of = dict(pairs)
+        parent_of = dict(links)
         failures = [
             f"cycle ({nodes[c].representative}) does not follow its "
             f"parent's anchor ({nodes[parent_of[p]].representative})"
-            for c, p in pairs
+            for c, p in links
             if p != tree.root and parent_of[p] > c and nodes[c].kind is CycleKind.CCR
         ]
     return ValidationReport(

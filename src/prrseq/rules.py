@@ -584,9 +584,9 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     return offset
 
 
-def _bit_text(bits: Iterator[int], chunk: int = 1 << 16) -> Iterator[str]:
-    """A stream of 0/1 ints as "0"/"1" text, chunk bits per piece."""
-    while block := bytes(islice(bits, chunk)):
+def _bit_text(bits: Iterator[int]) -> Iterator[str]:
+    """A stream of 0/1 ints as "0"/"1" text, 2^16 bits per piece."""
+    while block := bytes(islice(bits, 1 << 16)):
         yield block.translate(_TEXT).decode()
 
 
