@@ -27,6 +27,8 @@ class State:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.value) is not int or type(self.n) is not int:
+            raise ValueError(f"value and length must be ints, got {self.value!r} and {self.n!r}")
         if not 1 <= self.n <= MAX_LENGTH:
             raise ValueError(f"state length must be in [1, {MAX_LENGTH}], got {self.n}")
         if not 0 <= self.value < (1 << self.n):

@@ -28,11 +28,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
-from .core import State, _index_of_jth_one, rotate_left_value, theta_rotate_value
+from .core import State, _index_of_jth_one, rotate_left_value
 from .registers import ORDER_LIMITS, check_order, prr_leap_value, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
@@ -91,8 +91,8 @@ class RuleSpec:
         except ValueError:
             raise InvalidSpecError(f"unknown rule kind {self.kind!r}") from None
         lo, hi = ORDER_LIMITS["rule"]
-        if not lo <= self.n <= hi:
-            raise InvalidSpecError(f"n must be in [{lo}, {hi}], got {self.n}")
+        if type(self.n) is not int or not lo <= self.n <= hi:
+            raise InvalidSpecError(f"n must be an int in [{lo}, {hi}], got {self.n!r}")
         if self.kind in (RuleKind.PSI1, RuleKind.UPSILON1):
             self._check_kset()
         elif self.kind in (RuleKind.PSI2, RuleKind.UPSILON2):
@@ -106,8 +106,8 @@ class RuleSpec:
             raise InvalidSpecError(f"{self.kind.value} takes kset, not k")
         object.__setattr__(self, "kset", tuple(self.kset))
         ks = self.kset
-        if list(ks) != sorted(set(ks)):
-            raise InvalidSpecError(f"kset must be strictly increasing, got {ks}")
+        if any(type(c) is not int for c in ks) or list(ks) != sorted(set(ks)):
+            raise InvalidSpecError(f"kset must be strictly increasing ints, got {ks}")
         if not 2 <= len(ks) <= self.n - 1:
             raise InvalidSpecError(f"kset size must be in [2, n-1], got {len(ks)}")
         if ks[0] != 1 or ks[-1] != self.n:
@@ -118,6 +118,8 @@ class RuleSpec:
     def _check_k(self) -> None:
         if self.kset is not None or self.k is None:
             raise InvalidSpecError(f"{self.kind.value} takes k, not kset")
+        if type(self.k) is not int:
+            raise InvalidSpecError(f"k must be an int, got {self.k!r}")
         valid = exponent_range(self.kind, self.n)
         if not valid[0] <= self.k <= valid[-1]:
             raise InvalidSpecError(
@@ -272,37 +274,45 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     return upsilon_critical_predicate(n, upsilon_selector)
 
 
+def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
+    """An (n-1)-bit necklace x rotated left by shift(x) is spec's mark in x's
+    rotation class, the tail that e(c) advances take to x.  Psi: x's
+    ((c - e(c)) mod c + 1)-th of c ones; upsilon: one past its
+    ((z - e(z)) mod z + 1)-th of z zeros; sala and a constant x: 0."""
+    m = spec.n - 1
+    if spec.kind is RuleKind.SALA:
+        return lambda x: 0
+    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
+    e = _exponents(spec.kind, spec.n, spec.kset, spec.k)
+    j = [0] + [(c - e[c]) % c + 1 for c in range(1, m + 1)]
+
+    def shift(x: int) -> int:
+        y = x ^ flip  # psi counts x's ones, upsilon its zeros
+        c = y.bit_count()
+        return _index_of_jth_one(y, m, j[c]) + lag if 0 < c < m else 0
+
+    return shift
+
+
 def _critical_table(spec: RuleSpec) -> bytes:
     """spec's critical flags over the (n-1)-bit tails: one mark per register
     cycle, from one FKM walk.  A co-necklace C (it starts and ends with 0)
     marks C for sala and psi, and ~C, an odd tail starting with 1, for
-    upsilon.  A necklace x marks x for sala; for the others the tail that
-    e(c) advances take to x, of weight c and z zeros: for psi, x rotated to
-    its one number c - e(c) + 1, which theta reaches on x's complement; for
-    upsilon, x rotated to its zero number z - e(z) + 1, z - e(z) thetas."""
+    upsilon.  A necklace x marks x rotated by _mark_shift (a constant x is
+    its own mark, and also a co-necklace's)."""
     n = spec.n
     check_order(n, "table")
     m = n - 1
     mask = (1 << m) - 1
     necklaces, _, conecklaces = _fkm_walk(m)
-    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
-    flip = mask if upsilon else 0
+    flip = mask if spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2) else 0
     table = bytearray(mask + 1)
     for x in conecklaces:
         table[x ^ flip] = 1
-    if spec.kind is RuleKind.SALA:
-        for x in necklaces:
-            table[x] = 1
-        return bytes(table)
-    e = _exponents(spec.kind, n, spec.kset, spec.k)
-    if upsilon:
-        for x in necklaces[:-1]:  # all ones has no rotation starting with 0
-            z = m - x.bit_count()
-            table[theta_rotate_value(x, m, z - e[z]) << 1] = 1
-    else:
-        for x in necklaces[1:]:  # 0 has no rotation starting with 1
-            c = x.bit_count()
-            table[mask ^ theta_rotate_value(x ^ mask, m, c - e[c] + 1)] = 1
+    shift = _mark_shift(spec)
+    for x in necklaces:
+        table[rotate_left_value(x, m, shift(x))] = 1
     return bytes(table)
 
 
@@ -368,11 +378,7 @@ def generate(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if n > ORDER_LIMITS["table"][1]:
-        arcs = _arcs(spec, v)
-        while count > 0:
-            block = next(arcs)[:count]
-            yield from block
-            count -= len(block)
+        yield from islice(chain.from_iterable(_arcs(spec, v)), count)
         return
     critical = critical_predicate(spec)
     step = prr_step_value  # a local name saves a global lookup per bit
@@ -547,31 +553,21 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     offset d of the first critical tail among its rotations: the tail
     rotated left by d.
 
-    u's class holds its necklace N's own mark, at the closed-form offset
-    _critical_table uses, and the co-necklace marks that fall in it.  A
+    u's class holds its necklace N's own mark, N rotated by _mark_shift as
+    in _critical_table, and the co-necklace marks that fall in it.  A
     co-necklace C (~C for upsilon) starts and ends with 0, so it splits the
     class's one longest 0-run into its last and its first 0s, and no other
-    run, nor its last 0s, is longer than its first (_split_run).  Each such
-    split that comes before the best offset so far goes to the predicate."""
+    run, nor its last 0s, is longer than its first (_split_run; none in a
+    periodic class).  Each split before the best offset so far is tested."""
     m = spec.n - 1
     mask = (1 << m) - 1
     critical = critical_predicate(spec)
-    kind = spec.kind
-    upsilon = kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
-    e = None if kind is RuleKind.SALA else _exponents(kind, spec.n, spec.kset, spec.k)
+    shift = _mark_shift(spec)
+    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
 
     def offset(u: int) -> int:
         a, x, p = _least_rotation(u, m)  # N = x is u rotated left by a
-        if e is None:
-            best = a
-        elif upsilon:
-            z = m - x.bit_count()
-            best = (a + _index_of_jth_one(x ^ mask, m, (z - e[z]) % z + 1) + 1) % p
-        else:
-            c = x.bit_count()
-            best = (a + _index_of_jth_one(x, m, (c - e[c]) % c + 1)) % p
-        if p < m:  # a periodic class has two longest runs: no co-necklace
-            return best
+        best = (a + shift(x)) % p
         if upsilon:  # ~C is a rotation of N: split ~N's longest 0-run (none if two)
             s = _longest_zero_runs(x ^ mask, m)[0]
             a, x = a + s, rotate_left_value(x ^ mask, m, s)  # ~N at that run: u rotated by a
@@ -603,8 +599,7 @@ def generate_sequence(spec: RuleSpec, start: Optional[State] = None) -> Sequence
     """One full period (2^n bits) starting from start, default all zeros.
 
     A full period is capped at the window-scan order, as in the CLI."""
-    check_order(spec.n, "window")
     if start is None:
         start = State(0, spec.n)
-    bits = "".join(_bit_text(generate(spec, start, 1 << spec.n)))
+    bits = "".join(_bit_text(generate(spec, start)))
     return SequenceRecord(bits, spec, start)

@@ -51,6 +51,12 @@ class TestState:
         with pytest.raises(ValueError):
             State.from_string("")
 
+    @pytest.mark.parametrize("value, n", [(5.0, 3), (5, 3.0), (True, 3), (1, True), ("5", 3)])
+    def test_rejects_non_int_fields(self, value, n):
+        # a float once constructed, then failed in str() and in generate
+        with pytest.raises(ValueError, match="value and length must be ints"):
+            State(value, n)
+
     def test_oldest_bit_is_most_significant(self):
         # the leftmost character, first shifted out, is the top bit of value
         assert State.from_string("1000").value == 8

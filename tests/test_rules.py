@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -35,6 +36,8 @@ from prrseq.rules import (
     _ccr_offset,
     _critical_table,
     _exponents,
+    _least_rotation,
+    _mark_shift,
     _pcr_offset,
     _scan_predicate,
     _split_run,
@@ -134,6 +137,24 @@ class TestRuleSpecValidation:
             RuleSpec(RuleKind.PSI2, 6, kset=(1, 6))
         with pytest.raises(InvalidSpecError):
             RuleSpec(RuleKind.PSI2, 6, k=2, kset=(1, 6))
+
+    @pytest.mark.parametrize(
+        "kind, n, params",
+        [
+            (RuleKind.PSI2, 6, {"k": 1.5}),
+            (RuleKind.PSI2, 6, {"k": True}),
+            (RuleKind.UPSILON2, 6, {"k": 2.0}),
+            (RuleKind.PSI2, 6.0, {"k": 1}),
+            (RuleKind.SALA, True, {}),
+            (RuleKind.PSI1, 6, {"kset": (1, 2.0, 6)}),
+            (RuleKind.UPSILON1, 6, {"kset": (True, 6)}),
+        ],
+    )
+    def test_rejects_non_int_fields(self, kind, n, params):
+        # each once constructed (or raised a bare TypeError), and its
+        # spec_string did not parse back
+        with pytest.raises(InvalidSpecError, match="must be (an int|strictly increasing ints)"):
+            RuleSpec(kind, n, **params)
 
     def test_string_kind_is_converted(self):
         spec = RuleSpec("sala", 6)
@@ -487,7 +508,59 @@ class TestCriticalTables:
             )
 
 
+class TestClassKernels:
+    """The two per-class kernels the tables and the arcs share, against
+    their definitions."""
+
+    @staticmethod
+    def brute_least_rotation(x, m):
+        rotations = [rotate_left_value(x, m, r) for r in range(m)]
+        least = min(rotations)
+        return rotations.index(least), least, (rotations[1:] + [x]).index(x) + 1
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_least_rotation_of_every_word(self, m):
+        for x in range(1, (1 << m) - 1):  # both bits
+            assert _least_rotation(x, m) == self.brute_least_rotation(x, m), (m, x)
+
+    def test_least_rotation_of_drawn_long_words(self):
+        # periodic words too: a block repeated m / d times
+        rng = random.Random(126)
+        for m in range(17, 127):
+            for d in [m] * 20 + [d for d in range(2, m) if m % d == 0]:
+                block = rng.getrandbits(d) | 1 << rng.randrange(d)
+                x = int(format(block, f"0{d}b") * (m // d), 2)
+                if 0 < x < (1 << m) - 1:
+                    assert _least_rotation(x, m) == self.brute_least_rotation(x, m), (m, x)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_mark_shift_lands_on_the_definitional_mark(self, n):
+        # N rotated by shift(N) is the one tail of N's class on the
+        # selector side that the definition accepts; sala's is N, and a
+        # constant N, whose class may have no tail on that side, is its own
+        m = n - 1
+        mask = (1 << m) - 1
+        classes = {x: {rotate_left_value(x, m, r) for r in range(m)} for x in _fkm_walk(m)[0]}
+        for kind in RuleKind:
+            if kind in (RuleKind.UPSILON1, RuleKind.UPSILON2):
+                selector_side = lambda t: not t & 1  # noqa: E731
+            else:
+                selector_side = lambda t: t >> (m - 1)  # noqa: E731
+            for spec in all_specs(kind, n):
+                shift, definition = _mark_shift(spec), definitional_predicate(spec)
+                for x, tails in classes.items():
+                    if kind is RuleKind.SALA or x in (0, mask):
+                        assert shift(x) == 0 and definition(x), (spec, x)
+                        continue
+                    marks = {t for t in tails if selector_side(t) and definition(t)}
+                    assert marks == {rotate_left_value(x, m, shift(x))}, (spec.spec_string(), x)
+
+
 class TestGenerate:
+    def test_is_a_generator_function(self):
+        # the benchmark's tracer counts the bits of generator functions only
+        assert inspect.isgeneratorfunction(generate)
+
     def test_reproduces_reference_rows(self, table1_rows, table3_rows):
         assert generate_sequence(RuleSpec.parse("psi1:n=6:kset=1,6")).bits == table1_rows[0]
         assert generate_sequence(RuleSpec.parse("psi2:n=6:k=5")).bits == table1_rows[8 + 4]
