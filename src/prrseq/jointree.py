@@ -11,7 +11,7 @@ against first principles rather than against the generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
 from .core import State
@@ -38,11 +38,23 @@ class TreeEdge:
 
 @dataclass(frozen=True)
 class CycleTree:
-    """Cycles as nodes (sorted by representative) plus the pair edges."""
+    """Cycles as nodes (sorted by representative) and a parent array: node i
+    joins parents[i] (None at the root) by the pair whose child state is members[i]."""
 
     nodes: Tuple[Cycle, ...]
-    edges: Tuple[TreeEdge, ...]
+    parents: Tuple[Optional[int], ...]
+    members: Tuple[int, ...]
     root: int
+
+    @cached_property
+    def edges(self) -> Tuple[TreeEdge, ...]:
+        """One edge per pair, in child order, built on first read."""
+        n = self.nodes[0].representative.n
+        return tuple(
+            TreeEdge(c, p, State(v, n))
+            for c, (p, v) in enumerate(zip(self.parents, self.members))
+            if p is not None
+        )
 
     def to_dot(self) -> str:
         """Graphviz rendering; rotation-type cycles are ellipses,
@@ -118,7 +130,7 @@ def extract_tree(
 
     Conjugates differ in the oldest bit, so in cycle kind: every pair
     bridges two cycles.  The pairing, orientation and spanning walk run on
-    flat lists of values and node indices; the edges are built at the end.
+    flat lists of values and node indices, which the tree keeps.
     """
     n = spec.n
     check_order(n, "tree")
@@ -145,7 +157,7 @@ def extract_tree(
             f"(need exactly {2 * (z - 1)})"
         )
     members = _child_members(spec.kind, n, lows, nodes, index_of)
-    # Node indices come from index_of, so the edges share its int objects.
+    # Node indices come from index_of, so the parent array shares its int objects.
     children = [index_of[v] for v in members]
     parent_of: List[Optional[int]] = [None] * z
     member_of = [0] * z
@@ -173,10 +185,7 @@ def extract_tree(
             j = parent_of[j]
         for j in path:
             reached[j] = 1
-    edges = tuple(
-        TreeEdge(c, parent_of[c], State(member_of[c], n)) for c in sorted(children)
-    )
-    return CycleTree(nodes=nodes, edges=edges, root=root)
+    return CycleTree(nodes=nodes, parents=tuple(parent_of), members=tuple(member_of), root=root)
 
 
 @dataclass(frozen=True)
@@ -216,29 +225,27 @@ def verify_critical_set(
     - the root's one upsilon child holds 01^(n-1): the least complementing cycle.
     """
     tree = extract_tree(spec, critical)
-    nodes = tree.nodes
+    nodes, parents, root = tree.nodes, tree.parents, tree.root
     # Nodes are sorted by representative: index order is representative order.
-    links = [(e.child, e.parent) for e in tree.edges]
     if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
         failures = [
             f"parent ({nodes[p].representative}) does not precede child "
             f"({nodes[c].representative})"
-            for c, p in links
-            if p > c
+            for c, p in enumerate(parents)
+            if p is not None and p > c
         ]
     else:
-        parent_of = dict(links)
         failures = [
             f"cycle ({nodes[c].representative}) does not follow its "
-            f"parent's anchor ({nodes[parent_of[p]].representative})"
-            for c, p in links
-            if p != tree.root and parent_of[p] > c and nodes[c].kind is CycleKind.CCR
+            f"parent's anchor ({nodes[parents[p]].representative})"
+            for c, p in enumerate(parents)
+            if p not in (None, root) and parents[p] > c and nodes[c].kind is CycleKind.CCR
         ]
     return ValidationReport(
         spec=spec,
         cycle_count=len(nodes),
-        deviation_count=2 * len(tree.edges),
-        root_representative=nodes[tree.root].representative,
+        deviation_count=2 * (len(nodes) - 1),
+        root_representative=nodes[root].representative,
         ok=not failures,
         failures=tuple(failures),
         tree=tree,

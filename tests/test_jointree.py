@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from functools import lru_cache
 from typing import Dict, List
 
@@ -13,7 +14,6 @@ from prrseq import (
     RuleSpec,
     State,
     TreeEdge,
-    ValidationReport,
     all_specs,
     count_cycles,
     decompose,
@@ -66,8 +66,9 @@ def toggled(spec, *states):
 # --- the per-pair oracle ----------------------------------------------------
 # extract_tree and verify_critical_set as they were before the tree was built
 # from flat per-order arrays: one PRR step per state for the index, one
-# TreeEdge per pair and dicts for the walk.  The fast path must agree with it
-# on every tree, report and failure message.
+# TreeEdge per pair and dicts for the walk, with its own DOT and summary
+# text.  The parent-array tree must agree with it on every edge, report and
+# failure message.
 
 
 @lru_cache(maxsize=4)
@@ -158,50 +159,62 @@ def extract_tree_by_pairs(spec, critical=None):
             j = parent_edge[j].parent
         reached.update(path)
     edges = tuple(parent_edge[i] for i in sorted(parent_edge))
-    return CycleTree(nodes=nodes, edges=edges, root=root)
+    return nodes, edges, root
+
+
+def dot_by_pairs(nodes, edges):
+    lines = ["digraph jointree {"]
+    for i, cyc in enumerate(nodes):
+        shape = "ellipse" if cyc.kind is CycleKind.PCR else "box"
+        lines.append(f'  n{i} [label="{cyc.representative}", shape={shape}];')
+    for e in edges:
+        lines.append(f'  n{e.child} -> n{e.parent} [label="{e.child_state}"];')
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def verify_by_pairs(spec, critical=None):
-    tree = extract_tree_by_pairs(spec, critical)
-    nodes = tree.nodes
+    """The oracle's nodes, edges, root, DOT, summary and order failures."""
+    nodes, edges, root = extract_tree_by_pairs(spec, critical)
     failures: List[str] = []
     if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
-        for e in tree.edges:
+        for e in edges:
             p = nodes[e.parent].representative
             c = nodes[e.child].representative
             if p.value >= c.value:
                 failures.append(f"parent ({p}) does not precede child ({c})")
     else:
-        parent_of = {e.child: e.parent for e in tree.edges}
-        for e in tree.edges:
+        parent_of = {e.child: e.parent for e in edges}
+        for e in edges:
             child = nodes[e.child]
-            if child.kind is CycleKind.CCR and e.parent != tree.root:
+            if child.kind is CycleKind.CCR and e.parent != root:
                 anchor = nodes[parent_of[e.parent]].representative
                 if anchor.value >= child.representative.value:
                     failures.append(
                         f"cycle ({child.representative}) does not follow its "
                         f"parent's anchor ({anchor})"
                     )
-    return ValidationReport(
-        spec=spec,
-        cycle_count=len(nodes),
-        deviation_count=2 * len(tree.edges),
-        root_representative=nodes[tree.root].representative,
-        ok=not failures,
-        failures=tuple(failures),
-        tree=tree,
+    summary = (
+        f"{spec.spec_string()}: {'FAILED' if failures else 'ok'}, {len(nodes)} cycles, "
+        f"{2 * len(edges)} critical states, root ({nodes[root].representative})"
     )
+    return nodes, edges, root, dot_by_pairs(nodes, edges), summary, tuple(failures)
+
+
+def verify_by_tree(spec, critical=None):
+    """The same, read from verify_critical_set's report and its tree."""
+    report = verify_critical_set(spec, critical)
+    tree = report.tree
+    return tree.nodes, tree.edges, tree.root, tree.to_dot(), report.summary(), report.failures
 
 
 def outcome(verify, spec, critical=None):
-    """What a validator makes of a critical set: the report's tree, DOT,
-    summary and failures, or the exception's type and message."""
+    """What a validator makes of a critical set, or the exception's type
+    and message."""
     try:
-        report = verify(spec, critical)
+        return verify(spec, critical)
     except (NotPairedError, NotSpanningError) as exc:
         return type(exc).__name__, str(exc)
-    tree = report.tree
-    return tree.nodes, tree.edges, tree.root, tree.to_dot(), report.summary(), report.failures
 
 
 def seeded_specs(rng, n):
@@ -243,6 +256,30 @@ class TestExtractTree:
             assert index_of[e.child_state.value] == e.child
             assert index_of[e.child_state.value ^ top] == e.parent
             assert tree.nodes[e.child].kind is not tree.nodes[e.parent].kind
+
+    @pytest.mark.parametrize("text", PASSING)
+    def test_parent_array_gives_the_edges(self, text):
+        tree = extract_tree(RuleSpec.parse(text))
+        assert [f.name for f in fields(CycleTree)] == ["nodes", "parents", "members", "root"]
+        assert tree.parents[tree.root] is None
+        others = [i for i in range(len(tree.nodes)) if i != tree.root]
+        assert [e.child for e in tree.edges] == others
+        assert [e.parent for e in tree.edges] == [tree.parents[i] for i in others]
+        assert [e.child_state.value for e in tree.edges] == [tree.members[i] for i in others]
+
+    def test_edges_are_built_on_first_read(self):
+        tree = verify_critical_set(RuleSpec.parse("upsilon1:n=8:kset=1,8")).tree
+        # the check itself built no edges
+        assert "edges" not in vars(tree)
+        edges = tree.edges
+        assert tree.edges is edges
+
+    def test_equal_trees_hash_alike(self):
+        spec = RuleSpec.parse("psi2:n=7:k=3")
+        a, b = extract_tree(spec), extract_tree(spec)
+        # cached edges are no field: reading them changes neither
+        assert a.edges and "edges" not in vars(b)
+        assert a == b and hash(a) == hash(b)
 
     def test_order_three_upsilon_tree(self):
         tree = extract_tree(RuleSpec.parse("upsilon2:n=3:k=0"))
@@ -398,12 +435,12 @@ class TestPerPairOracle:
     def test_every_spec(self, n):
         for kind in RuleKind:
             for spec in all_specs(kind, n):
-                assert outcome(verify_critical_set, spec) == outcome(verify_by_pairs, spec), spec
+                assert outcome(verify_by_tree, spec) == outcome(verify_by_pairs, spec), spec
 
     @pytest.mark.parametrize("n", [10, 14])
     def test_seeded_specs(self, n):
         for spec in seeded_specs(random.Random(n), n):
-            assert outcome(verify_critical_set, spec) == outcome(verify_by_pairs, spec), spec
+            assert outcome(verify_by_tree, spec) == outcome(verify_by_pairs, spec), spec
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_mutated_sets(self, n):
@@ -442,7 +479,7 @@ class TestPerPairOracle:
                 add = rng.choice(others)
                 flip = {drop, drop | top, add, add | top}
             critical = lambda v, base=base, flip=flip: bool(base(v)) ^ (v in flip)  # noqa: E731
-            got = outcome(verify_critical_set, spec, critical)
+            got = outcome(verify_by_tree, spec, critical)
             assert got == outcome(verify_by_pairs, spec, critical), (spec, sorted(flip))
             seen.add(got[0] if isinstance(got[0], str) else bool(got[-1]))
         # order failures (True) take a same-child swap at n >= 7 to show up

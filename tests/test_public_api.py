@@ -47,7 +47,7 @@ def test_version_matches_pyproject():
 
 
 def test_bulk_records_keep_no_instance_dict():
-    # decompose builds one Cycle and State per cycle and extract_tree one
+    # decompose builds one Cycle and State per cycle and a tree's edges one
     # TreeEdge per pair: slots keep each instance to its fields
     state = prrseq.State(5, 4)
     structure = prrseq.decompose(4)
