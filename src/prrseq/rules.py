@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, islice
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
 from .core import State, _index_of_jth_one, rotate_left_value
@@ -104,6 +104,8 @@ class RuleSpec:
     def _check_kset(self) -> None:
         if self.k is not None or self.kset is None:
             raise InvalidSpecError(f"{self.kind.value} takes kset, not k")
+        if not isinstance(self.kset, Iterable):
+            raise InvalidSpecError(f"kset must be strictly increasing ints, got {self.kset!r}")
         object.__setattr__(self, "kset", tuple(self.kset))
         ks = self.kset
         if any(type(c) is not int for c in ks) or list(ks) != sorted(set(ks)):

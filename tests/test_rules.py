@@ -148,6 +148,8 @@ class TestRuleSpecValidation:
             (RuleKind.SALA, True, {}),
             (RuleKind.PSI1, 6, {"kset": (1, 2.0, 6)}),
             (RuleKind.UPSILON1, 6, {"kset": (True, 6)}),
+            (RuleKind.PSI1, 6, {"kset": 5}),
+            (RuleKind.UPSILON1, 6, {"kset": object()}),
         ],
     )
     def test_rejects_non_int_fields(self, kind, n, params):
