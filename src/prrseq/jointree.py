@@ -39,7 +39,7 @@ class TreeEdge:
 @dataclass(frozen=True)
 class CycleTree:
     """Cycles as nodes (sorted by representative) and a parent array: node i
-    joins parents[i] (None at the root) by the pair whose child state is members[i]."""
+    joins parents[i] (None at the root) by the pair whose child-side state is members[i]."""
 
     nodes: Tuple[Cycle, ...]
     parents: Tuple[Optional[int], ...]
