@@ -16,7 +16,7 @@ import time
 from collections import deque
 from typing import Optional
 
-from .core import State, ZeroStateError
+from .core import State
 from .jointree import NotPairedError, NotSpanningError, verify_critical_set
 from .oracle import LengthMismatchError, enumerate_family, find_repeated_window
 from .registers import ORDER_LIMITS, OrderOutOfRangeError, check_order, decompose
@@ -238,7 +238,6 @@ def main(argv=None) -> int:
     except (
         InvalidSpecError,
         OrderOutOfRangeError,
-        ZeroStateError,
         NotPairedError,
         NotSpanningError,
         LengthMismatchError,

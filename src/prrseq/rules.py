@@ -32,7 +32,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
-from .core import State, _index_of_jth_one, rotate_left_value
+from .core import State, rotate_left_value
 from .registers import ORDER_LIMITS, check_order, prr_leap_value, prr_step_value
 
 CriticalPredicate = Callable[[int], bool]
@@ -276,11 +276,31 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     return upsilon_critical_predicate(n, upsilon_selector)
 
 
+def _index_of_jth_one(x: int, m: int, j: int) -> int:
+    """Index, counting from the left, of the j-th 1 of the m-bit value x.
+
+    Binary search on prefix popcounts; x must have at least j ones.
+    """
+    lo, hi = 0, m - 1
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (x >> (m - 1 - mid)).bit_count() >= j:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
     """An (n-1)-bit necklace x rotated left by shift(x) is spec's mark in x's
     rotation class, the tail that e(c) advances take to x.  Psi: x's
     ((c - e(c)) mod c + 1)-th of c ones; upsilon: one past its
-    ((z - e(z)) mod z + 1)-th of z zeros; sala and a constant x: 0."""
+    ((z - e(z)) mod z + 1)-th of z zeros; sala and a constant x: 0.
+
+    A psi advance (lambda) rotates past the first 1; an upsilon advance
+    (theta) rotates to the first 0 after position 0, and leaves a tail with
+    no such 0 as it is.  tests/test_rules.py's definitional_predicate
+    applies them as the paper defines them, the reference for this rule."""
     m = spec.n - 1
     if spec.kind is RuleKind.SALA:
         return lambda x: 0

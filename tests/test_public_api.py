@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import types
@@ -44,6 +45,25 @@ def test_version_matches_pyproject():
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         declared = re.search(r'^version = "([^"]+)"', fh.read(), re.M).group(1)
     assert prrseq.__version__ == declared
+
+
+def test_every_source_file_parses_at_the_oldest_supported_python():
+    # no interpreter at the requires-python floor may be at hand, but its
+    # grammar is: ast rejects newer syntax, such as except*, at that version
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', fh.read(), re.M).groups()
+    version = tuple(map(int, floor))
+    paths = [
+        os.path.join(dirpath, name)
+        for top in ("src", "tests", "bench", "scripts")
+        for dirpath, _, names in os.walk(os.path.join(ROOT, top))
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert len(paths) > 20
+    for path in paths:
+        with open(path) as fh:
+            ast.parse(fh.read(), path, feature_version=version)
 
 
 def test_bulk_records_keep_no_instance_dict():

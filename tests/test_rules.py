@@ -29,13 +29,14 @@ from prrseq import (
     verify_critical_set,
 )
 from prrseq.canonical import _fkm_walk, is_conecklace_value, is_necklace_value
-from prrseq.core import lambda_rotate_value, rotate_left_value, theta_rotate_value
+from prrseq.core import rotate_left_value
 from prrseq.registers import prr_step_value
 from prrseq.rules import (
     _arcs,
     _ccr_offset,
     _critical_table,
     _exponents,
+    _index_of_jth_one,
     _least_rotation,
     _mark_shift,
     _pcr_offset,
@@ -343,6 +344,116 @@ class TestCriticalSets:
             assert _critical_table(spec) == _critical_table(beyond)
 
 
+def lambda_rotate_value(u, m, r):
+    """lambda applied r times to the nonzero m-bit u.  One step rotates u
+    left to just past its first 1, so the steps walk u's ones cyclically:
+    r >= 1 lands just past the ((r - 1) mod w + 1)-th of its w ones."""
+    if r == 0:
+        return u
+    ones = [i for i, b in enumerate(format(u, f"0{m}b")) if b == "1"]
+    return rotate_left_value(u, m, ones[(r - 1) % len(ones)] + 1)
+
+
+def theta_rotate_value(u, m, r):
+    """theta applied r times to the m-bit u.  One step rotates u left to its
+    first 0 after position 0, and leaves u as it is if there is none.  A
+    moved u starts with that 0, so later steps walk u's zeros cyclically."""
+    zeros = [i for i, b in enumerate(format(u, f"0{m}b")) if b == "0"]
+    if r == 0 or zeros in ([], [0]):
+        return u
+    first = 1 if zeros[0] == 0 else 0  # the zero the first step lands on
+    return rotate_left_value(u, m, zeros[(first + r - 1) % len(zeros)])
+
+
+# independent single-step references, on strings
+def naive_lambda_step(s):
+    i = s.index("1")
+    return s[i + 1 :] + s[: i + 1]
+
+
+def naive_theta_step(s):
+    i = s.find("0", 1)
+    if i == -1:
+        return s
+    return s[i:] + s[:i]
+
+
+def words(min_len=1, max_len=16, least=0):
+    """Strings of m bits, m in min_len..max_len, with value at least least."""
+    return st.integers(min_len, max_len).flatmap(
+        lambda m: st.integers(least, (1 << m) - 1).map(lambda v: format(v, f"0{m}b"))
+    )
+
+
+def rotated(kernel, s, r):
+    return format(kernel(int(s, 2), len(s), r), f"0{len(s)}b")
+
+
+class TestLambdaRotate:
+    def test_single_steps(self):
+        assert rotated(lambda_rotate_value, "01101", 1) == "10101"
+        assert rotated(lambda_rotate_value, "01101", 2) == "01011"
+
+    def test_identity_and_period(self):
+        assert rotated(lambda_rotate_value, "01011", 0) == "01011"
+        assert rotated(lambda_rotate_value, "01011", 3) == "01011"  # weight 3 orbit returns
+
+    # up to the widths generation uses
+    @given(st.one_of(words(least=1), words(17, 63, least=1)))
+    @settings(max_examples=300)
+    def test_matches_naive_iteration(self, u):
+        cur = u
+        for r in range(1, 2 * len(u) + 3):
+            cur = naive_lambda_step(cur)
+            assert rotated(lambda_rotate_value, u, r) == cur
+
+    @given(words(least=1), st.integers(10**9, 10**27))
+    def test_huge_exponents_reduce_to_measured_period(self, u, big):
+        orbit = [u]
+        for _ in range(2 * len(u) + 2):
+            orbit.append(naive_lambda_step(orbit[-1]))
+        period = next(p for p in range(1, len(orbit) - 1) if orbit[1 + p] == orbit[1])
+        assert rotated(lambda_rotate_value, u, big) == orbit[1 + (big - 1) % period]
+
+    @given(words(least=1))
+    def test_preserves_weight(self, u):
+        assert rotated(lambda_rotate_value, u, 7).count("1") == u.count("1")
+
+
+class TestThetaRotate:
+    def test_fixed_points(self):
+        for s in ("1111", "0111", "1", "0"):
+            for r in (0, 1, 5, 10**12):
+                assert rotated(theta_rotate_value, s, r) == s
+
+    def test_single_step(self):
+        assert rotated(theta_rotate_value, "01101", 1) == "01011"
+
+    def test_all_zero_is_total(self):
+        assert rotated(theta_rotate_value, "000000", 10**20) == "000000"
+
+    # up to the widths generation uses
+    @given(st.one_of(words(), words(17, 63)))
+    @settings(max_examples=300)
+    def test_matches_naive_iteration(self, u):
+        cur = u
+        for r in range(1, 2 * len(u) + 3):
+            cur = naive_theta_step(cur)
+            assert rotated(theta_rotate_value, u, r) == cur
+
+    @given(words(min_len=2), st.integers(10**9, 10**27))
+    def test_huge_exponents_reduce_to_measured_period(self, u, big):
+        orbit = [u]
+        for _ in range(2 * len(u) + 2):
+            orbit.append(naive_theta_step(orbit[-1]))
+        period = next(p for p in range(1, len(orbit) - 1) if orbit[1 + p] == orbit[1])
+        assert rotated(theta_rotate_value, u, big) == orbit[1 + (big - 1) % period]
+
+    @given(words(), st.integers(0, 100))
+    def test_preserves_weight(self, u, r):
+        assert rotated(theta_rotate_value, u, r).count("1") == u.count("1")
+
+
 def definitional_predicate(spec):
     """spec's critical set as Gabric, Sawada, Williams and Wong define it:
     the advance operators applied e(c) times, then the necklace test, and
@@ -556,6 +667,22 @@ class TestClassKernels:
                         continue
                     marks = {t for t in tails if selector_side(t) and definition(t)}
                     assert marks == {rotate_left_value(x, m, shift(x))}, (spec.spec_string(), x)
+
+    @staticmethod
+    def ones(x, m):
+        return [i for i, b in enumerate(format(x, f"0{m}b")) if b == "1"]
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_index_of_jth_one_of_every_short_word(self, m):
+        for x in range(1 << m):
+            found = [_index_of_jth_one(x, m, j) for j in range(1, x.bit_count() + 1)]
+            assert found == self.ones(x, m), (m, x)
+
+    @given(st.integers(13, 63), st.data())
+    def test_index_of_jth_one_of_drawn_long_words(self, m, data):
+        x = data.draw(st.integers(1, (1 << m) - 1))
+        found = [_index_of_jth_one(x, m, j) for j in range(1, x.bit_count() + 1)]
+        assert found == self.ones(x, m)
 
 
 class TestGenerate:
