@@ -31,17 +31,22 @@ def _check_bits(bits: str, n: int) -> None:
 
 def find_repeated_window(bits: str, n: int) -> Optional[Tuple[int, str]]:
     """Position and value of the first cyclic n-window that repeats an
-    earlier one, or None if all 2^n windows are distinct."""
+    earlier one, or None if all 2^n windows are distinct.
+
+    One pass over the characters' code points ("0" is even, "1" odd),
+    without copying the string: the next window shifts in the character n
+    on, read from the start again past the end.  The windows before the
+    first repeat are distinct, so its position is the number marked seen."""
     _check_bits(bits, n)
     size = 1 << n
     mask = size - 1
     seen = bytearray(size)
     v = int(bits[:n], 2)
-    for j in range(size):
+    for b in map(ord, itertools.chain(itertools.islice(bits, n, None), bits[:n])):
         if seen[v]:
-            return j, format(v, f"0{n}b")
+            return seen.count(1), format(v, f"0{n}b")
         seen[v] = 1
-        v = ((v << 1) & mask) | (bits[(j + n) % size] == "1")
+        v = (v << 1 & mask) | (b & 1)
     return None
 
 

@@ -55,6 +55,16 @@ def prr_step_value(v: int, n: int, mask: int) -> int:
     return ((v << 1) & mask) | b
 
 
+def _prr_feedback_table(n: int) -> bytes:
+    """prr_step_value's feedback bit for every n-bit state, one byte per
+    state.  Within each quarter the byte is the youngest bit, complemented
+    where the parity of the two oldest bits is 1: in the middle two
+    quarters.  2^n bytes, so used only up to ORDER_LIMITS["table"]."""
+    half = 1 << (n - 3)
+    same, flipped = b"\0\1" * half, b"\1\0" * half
+    return b"".join((same, flipped, flipped, same))
+
+
 def prr_leap_value(v: int, n: int) -> int:
     """The state n - 1 PRR steps after the n-bit value v, in closed form.
 

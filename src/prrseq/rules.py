@@ -27,13 +27,20 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice
+from operator import getitem
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
 from .core import State, rotate_left_value
-from .registers import ORDER_LIMITS, check_order, prr_leap_value, prr_step_value
+from .registers import (
+    ORDER_LIMITS,
+    _prr_feedback_table,
+    check_order,
+    prr_leap_value,
+    prr_step_value,
+)
 
 CriticalPredicate = Callable[[int], bool]
 TailSelector = Callable[[int], bool]
@@ -342,7 +349,9 @@ def _critical_table(spec: RuleSpec) -> bytes:
 def _predicate(spec: RuleSpec) -> CriticalPredicate:
     if spec.n > ORDER_LIMITS["table"][1]:
         return _scan_predicate(spec)
-    return (_critical_table(spec) * 2).__getitem__  # a C call, no mask
+    # operator.getitem through a partial: C calls, cheaper than the bound
+    # bytes.__getitem__ (a method-wrapper); no mask, as the flags are doubled
+    return partial(getitem, _critical_table(spec) * 2)
 
 
 def critical_predicate(spec: RuleSpec) -> CriticalPredicate:
@@ -386,7 +395,8 @@ def generate(
 
     start defaults to all zeros, count to the full period 2^n (n <= 24).
     Above the table cap the walk goes arc by arc (_arcs); up to it, state
-    by state with one table lookup per bit.
+    by state: per bit, one lookup in the order's feedback table and one
+    predicate call, a lookup in the spec's critical flags.
     """
     n = spec.n
     if start is None:
@@ -403,12 +413,12 @@ def generate(
         yield from islice(chain.from_iterable(_arcs(spec, v)), count)
         return
     critical = critical_predicate(spec)
-    step = prr_step_value  # a local name saves a global lookup per bit
+    feedback = _prr_feedback_table(n)
     mask = (1 << n) - 1
     top = n - 1
     for _ in range(count):
-        yield (v >> top) & 1
-        v = step(v, n, mask) ^ critical(v)
+        yield v >> top
+        v = ((v << 1) & mask | feedback[v]) ^ critical(v)
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")

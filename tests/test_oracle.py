@@ -14,6 +14,7 @@ from prrseq import (
     family_size,
     family_union,
     find_repeated_window,
+    generate_sequence,
     is_de_bruijn,
 )
 
@@ -29,6 +30,32 @@ def brute_de_bruijn_canonicals(n):
         if len(windows) == size and bits.startswith("0" * n):
             found.append(bits)
     return found
+
+
+def first_repeat_by_dict(bits, n):
+    """The first cyclic window that repeats an earlier one, found with a
+    dict from each window to its first position: the window scan's oracle."""
+    wrapped = bits + bits[: n - 1]
+    first = {}
+    for j in range(len(bits)):
+        window = wrapped[j : j + n]
+        if window in first:
+            return j, window
+        first[window] = j
+    return None
+
+
+def flips_and_swaps(bits):
+    """bits with each one bit flipped, then with each cyclically adjacent
+    pair of bits swapped."""
+    size = len(bits)
+    for i in range(size):
+        yield bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+    for i in range(size):
+        chars = list(bits)
+        j = (i + 1) % size
+        chars[i], chars[j] = chars[j], chars[i]
+        yield "".join(chars)
 
 
 class TestWindowScan:
@@ -74,13 +101,29 @@ class TestWindowScan:
             assert is_de_bruijn(bits.translate(str.maketrans("01", "10")), 6)
             assert is_de_bruijn(bits[::-1], 6)
 
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_matches_the_dict_scan_near_a_de_bruijn_sequence(self, n):
+        # late repeats and repeats across the wrap, next to a passing input
+        for kind in RuleKind:
+            bits = generate_sequence(next(all_specs(kind, n))).bits
+            assert find_repeated_window(bits, n) is None is first_repeat_by_dict(bits, n)
+            for mutant in flips_and_swaps(bits):
+                assert find_repeated_window(mutant, n) == first_repeat_by_dict(mutant, n), mutant
+
+    @given(st.data())
+    def test_matches_the_dict_scan_on_any_bits(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        bits = data.draw(st.text("01", min_size=1 << n, max_size=1 << n), label="bits")
+        assert find_repeated_window(bits, n) == first_repeat_by_dict(bits, n)
+
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(LengthMismatchError, match="^order 3 needs 8 bits, got 4$"):
             is_de_bruijn("0011", 3)
 
     def test_bad_characters(self):
-        with pytest.raises(ValueError):
-            is_de_bruijn("00x1", 2)
+        for bits in ("00x1", "0\u00e91\u20ac"):
+            with pytest.raises(ValueError, match="^bit string may contain only 0 and 1$"):
+                is_de_bruijn(bits, 2)
 
     def test_order_out_of_range(self):
         with pytest.raises(OrderOutOfRangeError):

@@ -18,7 +18,14 @@ from prrseq import (
     prr_next_bit,
 )
 from prrseq.core import rotate_left_value
-from prrseq.registers import ORDER_LIMITS, Cycle, CycleStructure, prr_leap_value, prr_step_value
+from prrseq.registers import (
+    ORDER_LIMITS,
+    Cycle,
+    CycleStructure,
+    _prr_feedback_table,
+    prr_leap_value,
+    prr_step_value,
+)
 from prrseq.rules import _critical_table
 
 
@@ -92,6 +99,20 @@ class TestFeedback:
         for _ in range(n - 1):
             w = prr_step_value(w, n, (1 << n) - 1)
         assert prr_leap_value(v, n) == w
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_feedback_table_is_the_step_feedback_on_every_state(self, n):
+        mask = (1 << n) - 1
+        expected = bytes(prr_step_value(v, n, mask) & 1 for v in range(1 << n))
+        assert _prr_feedback_table(n) == expected
+
+    @given(st.data())
+    def test_feedback_table_is_the_step_feedback_up_to_the_table_cap(self, data):
+        n = data.draw(st.integers(17, ORDER_LIMITS["table"][1]), label="n")
+        v = data.draw(st.integers(0, (1 << n) - 1), label="state")
+        table = _prr_feedback_table(n)
+        assert len(table) == 1 << n
+        assert table[v] == prr_step_value(v, n, (1 << n) - 1) & 1
 
 
 class TestClassifyState:

@@ -783,10 +783,41 @@ class TestGenerate:
         with pytest.raises(InvalidSpecError):
             next_bit(RuleSpec.parse("sala:n=6"), State(0, 5))
 
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_walk_below_the_table_cap_is_the_state_walk(self, n, monkeypatch):
+        # up to three drawn specs per family, from zero and two drawn starts,
+        # around the full period; and one predicate call per bit, which the
+        # benchmark's traced counts rely on
+        calls = 0
+
+        def counted(spec):
+            critical = critical_predicate(spec)
+
+            def call(v):
+                nonlocal calls
+                calls += 1
+                return critical(v)
+
+            return call
+
+        monkeypatch.setattr(prrseq.rules, "critical_predicate", counted)
+        rng = random.Random(n)
+        size = 1 << n
+        for kind in RuleKind:
+            specs = list(all_specs(kind, n))
+            for spec in rng.sample(specs, min(3, len(specs))):
+                for v in (0, rng.randrange(size), rng.randrange(size)):
+                    for count in (0, 1, size - 1, size, size + n):
+                        calls = 0
+                        bits = bytes(generate(spec, State(v, n), count))
+                        assert bits == walk_by_states(spec, v, count), (spec, v, count)
+                        assert calls == count
+
 
 def walk_by_states(spec, v, count):
-    """The rule's walk from state v one state at a time, one predicate call
-    per bit: the oracle for the walk by arcs."""
+    """The rule's walk from state v one state at a time, one prr_step_value
+    and one predicate call per bit: the oracle for generate, which looks the
+    feedback up below the table cap and walks by arcs above it."""
     n = spec.n
     mask = (1 << n) - 1
     critical = critical_predicate(spec)
