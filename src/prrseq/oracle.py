@@ -33,16 +33,18 @@ def find_repeated_window(bits: str, n: int) -> Optional[Tuple[int, str]]:
     """Position and value of the first cyclic n-window that repeats an
     earlier one, or None if all 2^n windows are distinct.
 
-    One pass over the characters' code points ("0" is even, "1" odd),
-    without copying the string: the next window shifts in the character n
-    on, read from the start again past the end.  The windows before the
-    first repeat are distinct, so its position is the number marked seen."""
+    One pass over the characters' codes ("0" is even, "1" odd): the next
+    window shifts in the character n on, read from the start again past
+    the end.  The string is encoded 4096 characters at a time, so no copy
+    of it is held.  The windows before the first repeat are distinct, so
+    its position is the number marked seen."""
     _check_bits(bits, n)
     size = 1 << n
     mask = size - 1
     seen = bytearray(size)
     v = int(bits[:n], 2)
-    for b in map(ord, itertools.chain(itertools.islice(bits, n, None), bits[:n])):
+    pieces = itertools.chain((bits[i : i + 4096] for i in range(n, size, 4096)), [bits[:n]])
+    for b in itertools.chain.from_iterable(map(str.encode, pieces)):
         if seen[v]:
             return seen.count(1), format(v, f"0{n}b")
         seen[v] = 1

@@ -8,6 +8,7 @@ from prrseq import (
     LengthMismatchError,
     OrderOutOfRangeError,
     RuleKind,
+    RuleSpec,
     all_specs,
     enumerate_family,
     exponent_period,
@@ -109,6 +110,16 @@ class TestWindowScan:
             assert find_repeated_window(bits, n) is None is first_repeat_by_dict(bits, n)
             for mutant in flips_and_swaps(bits):
                 assert find_repeated_window(mutant, n) == first_repeat_by_dict(mutant, n), mutant
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_matches_the_dict_scan_across_the_encoded_pieces(self, n):
+        # the scan encodes 4096 characters at a time, from character n on
+        bits = generate_sequence(RuleSpec.parse(f"psi2:n={n}:k=7")).bits
+        assert find_repeated_window(bits, n) is None
+        size = 1 << n
+        for i in (4095, 4096, 4096 + n - 1, 4096 + n, size - n, size - 1):
+            flipped = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+            assert find_repeated_window(flipped, n) == first_repeat_by_dict(flipped, n), i
 
     @given(st.data())
     def test_matches_the_dict_scan_on_any_bits(self, data):
