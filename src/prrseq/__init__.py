@@ -46,8 +46,6 @@ from .rules import (
     in_critical_set,
     next_bit,
     next_state,
-    psi_critical_predicate,
-    upsilon_critical_predicate,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +89,5 @@ __all__ = [
     "next_bit",
     "next_state",
     "prr_next_bit",
-    "psi_critical_predicate",
-    "upsilon_critical_predicate",
     "verify_critical_set",
 ]

@@ -84,6 +84,7 @@ def cmd_verify(args) -> int:
     else:
         raw = sys.stdin.read()
     bits = "".join(raw.split())
+    del raw  # the scan below holds one copy of the input, not two
     if bits.strip("01"):
         print("error: input may contain only 0, 1 and whitespace", file=sys.stderr)
         return EXIT_PARSE

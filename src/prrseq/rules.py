@@ -43,7 +43,6 @@ from .registers import (
 )
 
 CriticalPredicate = Callable[[int], bool]
-TailSelector = Callable[[int], bool]
 
 
 class RuleKind(Enum):
@@ -182,47 +181,6 @@ def _parse_int(raw: Optional[str], field: str) -> int:
         raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}") from None
 
 
-def psi_critical_predicate(n: int, selector: TailSelector) -> CriticalPredicate:
-    """Critical predicate accepting states by their tail u = bits 1..n-1.
-
-    Tails starting with 0 are accepted iff they are co-necklaces.  Tails
-    starting with 1 go to ``selector``, which must accept exactly one
-    tail per rotation class for the resulting rule to be valid; the
-    selector sees the tail as an (n-1)-bit value.
-    """
-    m = n - 1
-    tail_mask = (1 << m) - 1
-    tail_top = 1 << (m - 1)
-
-    def critical(v: int) -> bool:
-        u = v & tail_mask
-        if u & tail_top:
-            return selector(u)
-        return is_conecklace_value(u, m)
-
-    return critical
-
-
-def upsilon_critical_predicate(n: int, selector: TailSelector) -> CriticalPredicate:
-    """Critical predicate accepting states by their last bit.
-
-    States ending in 1 are accepted iff the complement of bits 1..n-2,
-    followed by 0, is a co-necklace.  States ending in 0 go to
-    ``selector``, which sees the (n-1)-bit value 0,c1..c_{n-2} and must
-    accept exactly one member per rotation class of such values.
-    """
-    m = n - 1
-    mid_mask = (1 << (n - 2)) - 1
-
-    def critical(v: int) -> bool:
-        mid = (v >> 1) & mid_mask  # bits 1..n-2
-        if v & 1:
-            return is_conecklace_value((mid ^ mid_mask) << 1, m)
-        return selector(mid)
-
-    return critical
-
-
 def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
     """The exponent table of a psi or upsilon rule: e[c] advances take an
     accepted tail with count c to its necklace, c in 1..n-1 (e[0] unused):
@@ -249,9 +207,15 @@ def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
 
 
 def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
-    """spec's critical set tested state by state: the path above the table
-    cap, and the oracle for the tables.  A necklace starts at a longest 0-run,
-    so a selector tests only the one its advances can rotate a tail to."""
+    """spec's critical set tested state by state on the tail u, the last
+    n - 1 bits: the path above the table cap, and the oracle for the tables.
+
+    Sala accepts necklaces and co-necklaces.  Psi accepts a u starting with
+    0 iff it is a co-necklace; upsilon a u ending with 1 iff ~u is one.  The
+    rest go to the rule's selector, which accepts the one tail per rotation
+    class that e(c) advances take to its necklace: psi's on u, upsilon's on
+    y = 0 and u's first n - 2 bits.  A necklace starts at a longest 0-run, so
+    a selector tests only the one its advances can rotate a tail to."""
     n, m = spec.n, spec.n - 1
     mask = (1 << m) - 1
     if spec.kind is RuleKind.SALA:
@@ -269,18 +233,28 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
                 return is_necklace_value(rotate_left_value(w, m, s), m)
         return False
 
-    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):  # lambda^e: past the e(c)-th one
-        return psi_critical_predicate(
-            n, lambda u: u == mask or necklace_at(u, u, e[u.bit_count()])
-        )
+    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+        top = 1 << (m - 1)
 
-    def upsilon_selector(u: int) -> bool:
-        # theta^e: to the (e(z)+1)-th zero, the (e(z)-a+1)-th mod z past u's a leading 0s
-        a, z = m - u.bit_length(), m - u.bit_count()
-        w = ((u << a) | (u >> (m - a))) & mask
-        return not u or necklace_at(w, w ^ mask, (e[z] - a) % z)
+        def critical(v: int) -> bool:
+            u = v & mask
+            if u & top:  # lambda^e: past the e(c)-th one
+                return u == mask or necklace_at(u, u, e[u.bit_count()])
+            return is_conecklace_value(u, m)
 
-    return upsilon_critical_predicate(n, upsilon_selector)
+        return critical
+
+    def critical(v: int) -> bool:
+        u = v & mask
+        if u & 1:
+            return is_conecklace_value(u ^ mask, m)
+        # theta^e on y: to the (e(z)+1)-th zero, the (e(z)-a+1)-th mod z past y's a leading 0s
+        y = u >> 1
+        a, z = m - y.bit_length(), m - y.bit_count()
+        w = ((y << a) | (y >> (m - a))) & mask
+        return not y or necklace_at(w, w ^ mask, (e[z] - a) % z)
+
+    return critical
 
 
 def _index_of_jth_one(x: int, m: int, j: int) -> int:

@@ -4,12 +4,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prrseq import RuleSpec, generate
+from prrseq import RuleSpec, find_repeated_window, generate
 from prrseq.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -195,6 +196,30 @@ class TestVerify:
         src.write_text(table1_rows[2] + "\n")
         code, out, _ = run(capsys, "verify", "--n", "6", "--file", str(src))
         assert code == 0
+
+    def test_scan_starts_holding_one_copy_of_the_input(self, capsys, monkeypatch, tmp_path):
+        # the file's text and the bits read from it are 2^18 bytes each;
+        # only the bits may be alive when the window scan starts, besides
+        # the argument parser's 40 KB or so.  A first run, not traced,
+        # makes the imports and caches the command needs.
+        seen = []
+
+        def scan(bits, n):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return find_repeated_window(bits, n)
+
+        monkeypatch.setattr("prrseq.cli.find_repeated_window", scan)
+        src = tmp_path / "bits.txt"
+        src.write_text("0" * (1 << 18) + "\n")
+        argv = ("verify", "--n", "18", "--file", str(src))
+        assert run(capsys, *argv)[0] == 1
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv)
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out.startswith("fail:")
+        assert len(seen) == 2 and 1 << 18 < seen[1] < 1.5 * (1 << 18)
 
     @pytest.mark.parametrize("n", ["-1", "0", "25"])
     def test_order_out_of_range_exits_3(self, capsys, monkeypatch, n):

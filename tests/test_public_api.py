@@ -47,12 +47,7 @@ def test_version_matches_pyproject():
     assert prrseq.__version__ == declared
 
 
-def test_every_source_file_parses_at_the_oldest_supported_python():
-    # no interpreter at the requires-python floor may be at hand, but its
-    # grammar is: ast rejects newer syntax, such as except*, at that version
-    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
-        floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', fh.read(), re.M).groups()
-    version = tuple(map(int, floor))
+def source_paths():
     paths = [
         os.path.join(dirpath, name)
         for top in ("src", "tests", "bench", "scripts")
@@ -61,9 +56,45 @@ def test_every_source_file_parses_at_the_oldest_supported_python():
         if name.endswith(".py")
     ]
     assert len(paths) > 20
-    for path in paths:
+    return paths
+
+
+def test_every_source_file_parses_at_the_oldest_supported_python():
+    # no interpreter at the requires-python floor may be at hand, but its
+    # grammar is: ast rejects newer syntax, such as except*, at that version
+    with open(os.path.join(ROOT, "pyproject.toml")) as fh:
+        floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', fh.read(), re.M).groups()
+    version = tuple(map(int, floor))
+    for path in source_paths():
         with open(path) as fh:
             ast.parse(fh.read(), path, feature_version=version)
+
+
+def test_every_imported_name_is_used_or_exported():
+    # a deletion must take the imports only it used with it
+    unused = []
+    for path in source_paths():
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [
+            f"{os.path.relpath(path, ROOT)}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert unused == []
 
 
 def test_bulk_records_keep_no_instance_dict():

@@ -24,8 +24,6 @@ from prrseq import (
     next_bit,
     next_state,
     count_cycles,
-    psi_critical_predicate,
-    upsilon_critical_predicate,
     verify_critical_set,
 )
 from prrseq.canonical import _fkm_walk, is_conecklace_value, is_necklace_value
@@ -962,24 +960,26 @@ class TestArcWalk:
             assert any(rotate_left_value(necklace, m, t) == c for t in _split_run(necklace, m))
 
 
-class TestPluggableSelectors:
-    def test_custom_psi_selector_matches_builtin(self):
-        n, m = 6, 5
-        custom = psi_critical_predicate(
-            n, lambda u: is_necklace_value(lambda_rotate_value(u, m, 1), m)
-        )
-        builtin = critical_predicate(RuleSpec.parse("psi2:n=6:k=2"))
-        assert all(custom(v) == builtin(v) for v in range(1 << n))
-        report = verify_critical_set(RuleSpec.parse("psi2:n=6:k=2"), custom)
-        assert report.ok
-
-    def test_custom_upsilon_selector_makes_a_valid_rule(self):
-        n, m = 7, 6
-        custom = upsilon_critical_predicate(
-            n, lambda u: is_necklace_value(theta_rotate_value(u, m, 2), m)
-        )
-        report = verify_critical_set(RuleSpec.parse("upsilon2:n=7:k=3"), custom)
-        assert report.ok
+class TestCustomPredicate:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sala:n=7",
+            "psi1:n=7:kset=1,3,7",
+            "psi2:n=7:k=5",
+            "upsilon1:n=7:kset=1,4,7",
+            "upsilon2:n=7:k=3",
+        ],
+    )
+    def test_definition_as_override_validates_like_the_builtin(self, text):
+        # a rule written as any predicate is checked by passing it as critical=
+        spec = RuleSpec.parse(text)
+        custom = verify_critical_set(spec, definitional_predicate(spec))
+        builtin = verify_critical_set(spec)
+        assert custom.ok and custom.summary() == builtin.summary()
+        assert custom.tree.parents == builtin.tree.parents
+        assert custom.tree.members == builtin.tree.members
+        assert custom.tree.root == builtin.tree.root
 
 
 class TestWholeFamiliesAreDeBruijn:
