@@ -38,7 +38,6 @@ from .rules import (
     InvalidSpecError,
     RuleKind,
     RuleSpec,
-    SequenceRecord,
     SpecSyntaxError,
     exponent_period,
     generate,
@@ -65,7 +64,6 @@ __all__ = [
     "OrderOutOfRangeError",
     "RuleKind",
     "RuleSpec",
-    "SequenceRecord",
     "SpecSyntaxError",
     "State",
     "TreeEdge",

@@ -10,6 +10,7 @@ against first principles rather than against the generator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
@@ -140,17 +141,16 @@ def extract_tree(
     z = len(nodes)
     top = 1 << (n - 1)
     deviations = list(filter(critical, range(2 * top)))
-    flags = bytearray(2 * top)
-    for v in deviations:
-        flags[v] = 1
-    if flags[:top] != flags[top:]:
-        v = next(v for v in deviations if not flags[v ^ top])
+    # Sorted, so the pairs' lo come first and their hi follow in the same order.
+    h = bisect_left(deviations, top)
+    lows = deviations[:h]
+    if deviations[h:] != [v | top for v in lows]:
+        marked = set(deviations)
+        v = next(v for v in deviations if v ^ top not in marked)
         raise NotPairedError(
             f"state {State(v, n)} is critical but its conjugate "
             f"{State(v ^ top, n)} is not"
         )
-    # Paired, so the first half of the critical states are the pairs' lo.
-    lows = deviations[: len(deviations) // 2]
     if len(lows) != z - 1:
         raise NotSpanningError(
             f"{len(deviations)} critical states cannot span {z} cycles "

@@ -21,12 +21,12 @@ class LengthMismatchError(ValueError):
 
 def _check_bits(bits: str, n: int) -> None:
     check_order(n, "window")
+    if bits.strip("01"):
+        raise ValueError("bit string may contain only 0 and 1")
     if len(bits) != 1 << n:
         raise LengthMismatchError(
             f"order {n} needs {1 << n} bits, got {len(bits)}"
         )
-    if bits.strip("01"):
-        raise ValueError("bit string may contain only 0 and 1")
 
 
 def find_repeated_window(bits: str, n: int) -> Optional[Tuple[int, str]]:
@@ -149,10 +149,8 @@ def enumerate_family(kind: RuleKind, n: int) -> FamilyReport:
     check_order(n, "family")
     entries = []
     for spec in all_specs(kind, n):
-        record = generate_sequence(spec)
-        entries.append(
-            FamilyEntry(spec, record.bits, is_de_bruijn(record.bits, n))
-        )
+        bits = generate_sequence(spec)
+        entries.append(FamilyEntry(spec, bits, is_de_bruijn(bits, n)))
     return _build_report(kind.value, n, entries, family_size(kind, n))
 
 

@@ -24,6 +24,7 @@ lcm(1..n-2) distinct sequences per family.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -175,10 +176,9 @@ class RuleSpec:
 def _parse_int(raw: Optional[str], field: str) -> int:
     if raw is None:
         raise SpecSyntaxError(f"missing field {field!r}")
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}") from None
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}")
+    return int(raw)
 
 
 def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
@@ -592,20 +592,8 @@ def _bit_text(bits: Iterator[int]) -> Iterator[str]:
         yield block.translate(_TEXT).decode()
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One full period of a rule's output."""
-
-    bits: str
-    spec: RuleSpec
-    start: State
-
-
-def generate_sequence(spec: RuleSpec, start: Optional[State] = None) -> SequenceRecord:
-    """One full period (2^n bits) starting from start, default all zeros.
+def generate_sequence(spec: RuleSpec, start: Optional[State] = None) -> str:
+    """One full period (2^n bits) as 0/1 text from start, default all zeros.
 
     A full period is capped at the window-scan order, as in the CLI."""
-    if start is None:
-        start = State(0, spec.n)
-    bits = "".join(_bit_text(generate(spec, start)))
-    return SequenceRecord(bits, spec, start)
+    return "".join(_bit_text(generate(spec, start)))

@@ -44,12 +44,12 @@ def family(kind, n):
 def test_criterion_01_reference_tables_byte_exact(table1_rows, table3_rows):
     t0 = time.perf_counter()
     got1 = [
-        generate_sequence(spec).bits
+        generate_sequence(spec)
         for kind in (RuleKind.PSI1, RuleKind.PSI2)
         for spec in all_specs(kind, 6)
     ]
     got3 = [
-        generate_sequence(spec).bits
+        generate_sequence(spec)
         for kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
         for spec in all_specs(kind, 6)
     ]
@@ -263,7 +263,7 @@ def test_criterion_10_sala_rule_end_to_end():
     bad = []
     for n in range(3, 13):
         spec = RuleSpec(RuleKind.SALA, n)
-        bits = generate_sequence(spec).bits
+        bits = generate_sequence(spec)
         if not is_de_bruijn(bits, n):
             bad.append(f"sala:n={n} sequence")
         report = verify_critical_set(spec)

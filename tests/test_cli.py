@@ -104,6 +104,13 @@ class TestGenerate:
         assert code == 2
         assert "missing field" in err
 
+    def test_non_decimal_integer_exits_2(self, capsys):
+        # int() reads 6_0 as 60
+        code, out, err = run(capsys, "generate", "--spec", "sala:n=6_0")
+        assert code == 2
+        assert out == ""
+        assert is_one_line_error(err) and "'6_0'" in err
+
     def test_unknown_kind_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--spec", "nope:n=6")
         assert code == 2
@@ -187,9 +194,13 @@ class TestVerify:
         assert "64 bits" in err
 
     def test_bad_characters_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("0a" * 32))
-        code, _, err = run(capsys, "verify", "--n", "6")
-        assert code == 2
+        # the second is also too short: the characters are reported first
+        for bits in ("0a" * 32, "0a" * 16):
+            monkeypatch.setattr("sys.stdin", io.StringIO(bits))
+            code, out, err = run(capsys, "verify", "--n", "6")
+            assert code == 2
+            assert out == ""
+            assert err == "error: input may contain only 0, 1 and whitespace\n"
 
     def test_file_input(self, capsys, tmp_path, table1_rows):
         src = tmp_path / "bits.txt"

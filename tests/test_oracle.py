@@ -106,7 +106,7 @@ class TestWindowScan:
     def test_matches_the_dict_scan_near_a_de_bruijn_sequence(self, n):
         # late repeats and repeats across the wrap, next to a passing input
         for kind in RuleKind:
-            bits = generate_sequence(next(all_specs(kind, n))).bits
+            bits = generate_sequence(next(all_specs(kind, n)))
             assert find_repeated_window(bits, n) is None is first_repeat_by_dict(bits, n)
             for mutant in flips_and_swaps(bits):
                 assert find_repeated_window(mutant, n) == first_repeat_by_dict(mutant, n), mutant
@@ -114,7 +114,7 @@ class TestWindowScan:
     @pytest.mark.parametrize("n", [13, 16])
     def test_matches_the_dict_scan_across_the_encoded_pieces(self, n):
         # the scan encodes 4096 characters at a time, from character n on
-        bits = generate_sequence(RuleSpec.parse(f"psi2:n={n}:k=7")).bits
+        bits = generate_sequence(RuleSpec.parse(f"psi2:n={n}:k=7"))
         assert find_repeated_window(bits, n) is None
         size = 1 << n
         for i in (4095, 4096, 4096 + n - 1, 4096 + n, size - n, size - 1):
@@ -132,7 +132,8 @@ class TestWindowScan:
             is_de_bruijn("0011", 3)
 
     def test_bad_characters(self):
-        for bits in ("00x1", "0\u00e91\u20ac"):
+        # the last is also too short: the characters are checked first
+        for bits in ("00x1", "0\u00e91\u20ac", "0x1"):
             with pytest.raises(ValueError, match="^bit string may contain only 0 and 1$"):
                 is_de_bruijn(bits, 2)
 

@@ -198,6 +198,12 @@ class TestSpecParsing:
             "psi2:n=6:n=7:k=1",
             "psi2:n=6:kset=1,6",
             "",
+            # integers are plain ASCII decimal: int() would take each of these
+            "sala:n=6_0",
+            "sala:n=+6",
+            "sala:n= 6",
+            "psi1:n=6:kset=1, 6",
+            "psi2:n=6:k=\u0663",  # ARABIC-INDIC DIGIT THREE
         ],
     )
     def test_syntax_errors(self, text):
@@ -689,19 +695,19 @@ class TestGenerate:
         assert inspect.isgeneratorfunction(generate)
 
     def test_reproduces_reference_rows(self, table1_rows, table3_rows):
-        assert generate_sequence(RuleSpec.parse("psi1:n=6:kset=1,6")).bits == table1_rows[0]
-        assert generate_sequence(RuleSpec.parse("psi2:n=6:k=5")).bits == table1_rows[8 + 4]
-        assert generate_sequence(RuleSpec.parse("upsilon1:n=6:kset=1,2,6")).bits == table3_rows[1]
-        assert generate_sequence(RuleSpec.parse("upsilon2:n=6:k=0")).bits == table3_rows[8]
+        assert generate_sequence(RuleSpec.parse("psi1:n=6:kset=1,6")) == table1_rows[0]
+        assert generate_sequence(RuleSpec.parse("psi2:n=6:k=5")) == table1_rows[8 + 4]
+        assert generate_sequence(RuleSpec.parse("upsilon1:n=6:kset=1,2,6")) == table3_rows[1]
+        assert generate_sequence(RuleSpec.parse("upsilon2:n=6:k=0")) == table3_rows[8]
 
     def test_full_period_text_matches_the_bits(self):
         spec = RuleSpec.parse("upsilon2:n=17:k=3")
         start = State(12345, 17)
         bits = "".join("01"[b] for b in generate(spec, start, 1 << 17))
-        assert generate_sequence(spec, start).bits == bits
+        assert generate_sequence(spec, start) == bits
 
     def test_order_three_from_zero(self):
-        assert generate_sequence(RuleSpec.parse("psi2:n=3:k=1")).bits == "00011101"
+        assert generate_sequence(RuleSpec.parse("psi2:n=3:k=1")) == "00011101"
 
     def test_first_bits_spell_start_state(self):
         spec = RuleSpec.parse("psi2:n=6:k=7")
@@ -749,9 +755,9 @@ class TestGenerate:
     def test_start_state_only_rotates_the_output(self, text, data):
         spec = RuleSpec.parse(text)
         v = data.draw(st.integers(0, (1 << spec.n) - 1))
-        bits = generate_sequence(spec, State(v, spec.n)).bits
+        bits = generate_sequence(spec, State(v, spec.n))
         i = (bits + bits).index("0" * spec.n)  # rotate to the 0^n window
-        assert bits[i:] + bits[:i] == generate_sequence(spec).bits
+        assert bits[i:] + bits[:i] == generate_sequence(spec)
 
     @pytest.mark.parametrize("text", ASSORTED)
     def test_next_state_agrees_with_generate(self, text):
@@ -986,7 +992,7 @@ class TestWholeFamiliesAreDeBruijn:
     @pytest.mark.parametrize("text", ASSORTED)
     def test_assorted_specs(self, text):
         spec = RuleSpec.parse(text)
-        assert is_de_bruijn(generate_sequence(spec).bits, spec.n)
+        assert is_de_bruijn(generate_sequence(spec), spec.n)
 
     def test_in_critical_set_rejects_wrong_length(self):
         with pytest.raises(InvalidSpecError):
