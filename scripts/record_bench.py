@@ -11,7 +11,11 @@ tier1.wall_s.  Then the per-bit generation cost of criterion 09
 state as the criterion does and, above the table cap, also from one start
 state per order drawn with random.Random(SEED): the all-zero state is an
 unrepresentative start there (psi2 at n = 64 spends most of its first 2^15
-bits on CCR arcs from it).
+bits on CCR arcs from it).  Last, two whole-register operations past the
+benchmark's orders are each run REPEATS times in a fresh process, which
+reports its wall time and peak RSS: decompose(24), at the order cap, and
+verify_critical_set for one spec per family at n = 20 (the CI's specs),
+the first building the cycle index.
 
 The file at the root of the checkout holds the machine, the Python
 version and the commit, one case per end-to-end metric and per ns/bit
@@ -41,6 +45,15 @@ SECONDS = 40
 SEED = 1
 ORDERS = (8, 16, 21, 32, 64)
 BITS = 1 << 15
+# name -> (n, the timed statement, run after `import prrseq`)
+WHOLE_REGISTER = {
+    "decompose": (24, "prrseq.decompose(24)"),
+    "verify_critical_set": (20, (
+        "for text in ('sala:n=20', 'psi1:n=20:kset=1,4,7,20', 'psi2:n=20:k=12345',"
+        " 'upsilon1:n=20:kset=1,3,20', 'upsilon2:n=20:k=777'):\n"
+        "    assert prrseq.verify_critical_set(prrseq.RuleSpec.parse(text)).ok"
+    )),
+}
 
 
 def bench(workload: str, trace: int) -> dict:
@@ -70,6 +83,26 @@ def tier1() -> float:
         sys.stderr.write(proc.stdout[-4000:])
         raise SystemExit(f"error: Tier-1 ({' '.join(cmd)}) exited with {proc.returncode}")
     return seconds
+
+
+def fresh(statement: str) -> tuple:
+    """Wall seconds of statement and the peak RSS in MiB of a fresh
+    interpreter that imports prrseq from this checkout and runs it."""
+    program = "\n".join([
+        "import resource, sys, time",
+        f"sys.path.insert(0, {os.path.join(ROOT, 'src')!r})",
+        "import prrseq",
+        "t0 = time.perf_counter()",
+        statement,
+        "print(time.perf_counter() - t0,"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: {statement!r} exited with {proc.returncode}")
+    wall, rss = map(float, proc.stdout.split())
+    return wall, rss
 
 
 def case(name: str, n: Optional[int], unit: str, values: list) -> dict:
@@ -119,6 +152,11 @@ def main(argv=None) -> int:
             if n in starts:
                 costs = [ns_per_bit(spec, BITS, 1, starts[n]) for _ in range(REPEATS)]
                 cases.append(case(f"ns_per_bit_random_start.{label}", n, "ns/bit", costs))
+
+    for name, (n, statement) in WHOLE_REGISTER.items():
+        walls, rss = zip(*(fresh(statement) for _ in range(REPEATS)))
+        cases.append(case(f"{name}.wall_s", n, "s", list(walls)))
+        cases.append(case(f"{name}.peak_rss_mb", n, "MiB", list(rss)))
 
     record = {
         "label": args.label,

@@ -25,6 +25,7 @@ from .oracle import (
 )
 from .registers import (
     Cycle,
+    CycleArray,
     CycleCounts,
     CycleKind,
     CycleStructure,
@@ -51,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cycle",
+    "CycleArray",
     "CycleCounts",
     "CycleKind",
     "CycleStructure",

@@ -20,7 +20,15 @@ from .core import State
 from .jointree import NotPairedError, NotSpanningError, verify_critical_set
 from .oracle import LengthMismatchError, enumerate_family, find_repeated_window
 from .registers import ORDER_LIMITS, OrderOutOfRangeError, check_order, decompose
-from .rules import InvalidSpecError, RuleKind, RuleSpec, SpecSyntaxError, _bit_text, generate
+from .rules import (
+    InvalidSpecError,
+    RuleKind,
+    RuleSpec,
+    SpecSyntaxError,
+    _bit_text,
+    _decimal,
+    generate,
+)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -155,18 +163,28 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text, 10)
+        return _decimal(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Report a malformed command line in one line, with no usage block."""
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prrseq",
         description="de Bruijn sequences from successor rules on the run-length register",
     )
@@ -175,30 +193,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="emit a rule's output bits")
     p.add_argument("--spec", required=True, help="rule spec, e.g. psi2:n=6:k=1")
     p.add_argument("--start", help="start state bits (default: all zeros)")
-    p.add_argument("--count", type=int, help="bits to emit (default: 2^n; at most 2^24)")
+    p.add_argument("--count", type=_integer, help="bits to emit (default: 2^n; at most 2^24)")
     p.add_argument("--format", choices=["raw", "cyclic"], default="raw")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="check a bit string for the de Bruijn property")
-    p.add_argument("--n", type=int, required=True, help="window order")
+    p.add_argument("--n", type=_integer, required=True, help="window order")
     p.add_argument("--file", help="read bits from file (default: stdin)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="list the register's cycles")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("family", help="enumerate a rule family as CSV")
     p.add_argument("--kind", choices=_KIND_CHOICES, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("table", help="emit the built-in reference enumerations")
     p.add_argument("--which", choices=["table1", "table3"], required=True)
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_integer, default=6)
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=cmd_table)
 

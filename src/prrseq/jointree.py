@@ -10,13 +10,22 @@ against first principles rather than against the generator.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import State
-from .registers import Cycle, CycleKind, check_order, decompose, prr_leap_value, prr_step_value
+from .registers import (
+    CycleArray,
+    CycleKind,
+    _cycle_kind,
+    check_order,
+    decompose,
+    prr_leap_value,
+    prr_step_value,
+)
 from .rules import CriticalPredicate, RuleKind, RuleSpec, critical_predicate
 
 
@@ -40,17 +49,21 @@ class TreeEdge:
 @dataclass(frozen=True)
 class CycleTree:
     """Cycles as nodes (sorted by representative) and a parent array: node i
-    joins parents[i] (None at the root) by the pair whose child-side state is members[i]."""
+    joins parents[i] (None at the root) by the pair whose child-side state is
+    members[i], an array('Q') holding 0 at the root."""
 
-    nodes: Tuple[Cycle, ...]
+    nodes: CycleArray
     parents: Tuple[Optional[int], ...]
-    members: Tuple[int, ...]
+    members: array
     root: int
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.parents, self.members.tobytes(), self.root))
 
     @cached_property
     def edges(self) -> Tuple[TreeEdge, ...]:
         """One edge per pair, in child order, built on first read."""
-        n = self.nodes[0].representative.n
+        n = self.nodes.order
         return tuple(
             TreeEdge(c, p, State(v, n))
             for c, (p, v) in enumerate(zip(self.parents, self.members))
@@ -60,39 +73,44 @@ class CycleTree:
     def to_dot(self) -> str:
         """Graphviz rendering; rotation-type cycles are ellipses,
         complementing-type cycles are boxes."""
+        n = self.nodes.order
         lines = ["digraph jointree {"]
-        for i, cyc in enumerate(self.nodes):
-            shape = "ellipse" if cyc.kind is CycleKind.PCR else "box"
-            lines.append(
-                f'  n{i} [label="{cyc.representative}", shape={shape}];'
-            )
-        for e in self.edges:
-            lines.append(f'  n{e.child} -> n{e.parent} [label="{e.child_state}"];')
+        for i, v in enumerate(self.nodes.representatives):
+            shape = "ellipse" if _cycle_kind(v, n) is CycleKind.PCR else "box"
+            lines.append(f'  n{i} [label="{v:0{n}b}", shape={shape}];')
+        for c, (p, v) in enumerate(zip(self.parents, self.members)):
+            if p is not None:
+                lines.append(f'  n{c} -> n{p} [label="{v:0{n}b}"];')
         lines.append("}")
         return "\n".join(lines)
 
 
 @lru_cache(maxsize=4)
 def _cycle_index(n: int):
-    """Cycles sorted by representative plus a value -> node index table.
+    """Cycles sorted by representative, an array('I') value -> node index
+    table, and the node ids 0..Z-1 as one list.  Reading an id through the
+    list rather than the table gives one shared int per node, so the trees'
+    parent arrays hold no int objects of their own.
 
     A cycle's states are the n-bit windows of what its representative v
     emits: v, then the tails of its next two leaps of n - 1 steps, which
     cover a period of up to 2(n - 1)."""
-    nodes = tuple(sorted(decompose(n).cycles, key=lambda c: c.representative.value))
+    cycles = decompose(n).cycles  # two sorted runs, which sorted() merges
+    reps, periods = array("Q"), array("B")
     m, mask = n - 1, (1 << n) - 1
-    index_of = [0] * (mask + 1)
+    index_of = array("I", bytes(4 << n))
     shifts = range(2 * m, 0, -1)  # state j of the cycle is w >> (2m - j), masked
-    for i, cyc in enumerate(nodes):
-        v = cyc.representative.value
+    for i, (v, period) in enumerate(sorted(zip(cycles.representatives, cycles.periods))):
+        reps.append(v)
+        periods.append(period)
         a = prr_leap_value(v, n)
         w = (v << m | a & (mask >> 1)) << m | prr_leap_value(a, n) & (mask >> 1)
-        for s in shifts[: cyc.period]:
+        for s in shifts[:period]:
             index_of[(w >> s) & mask] = i
-    return nodes, index_of
+    return CycleArray(n, reps, periods), index_of, list(range(len(reps)))
 
 
-def _child_members(kind: RuleKind, n: int, lows: List[int], nodes, index_of) -> List[int]:
+def _child_members(kind: RuleKind, n: int, lows: Sequence[int], nodes, index_of) -> Sequence[int]:
     """The member of each conjugate pair (lo, lo + 2^(n-1)) that lies in the
     child cycle: the cycle the rule marks.
 
@@ -107,8 +125,9 @@ def _child_members(kind: RuleKind, n: int, lows: List[int], nodes, index_of) -> 
     top = 1 << (n - 1)
     if kind is RuleKind.SALA:
         mask = (1 << n) - 1
+        reps = nodes.representatives
         for lo in lows:
-            if prr_step_value(lo | top, n, mask) != nodes[index_of[lo | top]].representative.value:
+            if prr_step_value(lo | top, n, mask) != reps[index_of[lo | top]]:
                 raise NotSpanningError(
                     f"cannot orient conjugate pair ({State(lo, n)}, {State(lo | top, n)})"
                 )
@@ -131,20 +150,20 @@ def extract_tree(
 
     Conjugates differ in the oldest bit, so in cycle kind: every pair
     bridges two cycles.  The pairing, orientation and spanning walk run on
-    flat lists of values and node indices, which the tree keeps.
+    flat arrays of values and node indices, which the tree keeps.
     """
     n = spec.n
     check_order(n, "tree")
     if critical is None:
         critical = critical_predicate(spec)
-    nodes, index_of = _cycle_index(n)
+    nodes, index_of, ids = _cycle_index(n)
     z = len(nodes)
     top = 1 << (n - 1)
-    deviations = list(filter(critical, range(2 * top)))
+    deviations = array("Q", filter(critical, range(2 * top)))
     # Sorted, so the pairs' lo come first and their hi follow in the same order.
     h = bisect_left(deviations, top)
     lows = deviations[:h]
-    if deviations[h:] != [v | top for v in lows]:
+    if deviations[h:] != array("Q", [v | top for v in lows]):
         marked = set(deviations)
         v = next(v for v in deviations if v ^ top not in marked)
         raise NotPairedError(
@@ -156,18 +175,16 @@ def extract_tree(
             f"{len(deviations)} critical states cannot span {z} cycles "
             f"(need exactly {2 * (z - 1)})"
         )
-    members = _child_members(spec.kind, n, lows, nodes, index_of)
-    # Node indices come from index_of, so the parent array shares its int objects.
-    children = [index_of[v] for v in members]
     parent_of: List[Optional[int]] = [None] * z
-    member_of = [0] * z
-    for c, v in zip(children, members):
+    member_of = array("Q", bytes(8 * z))
+    for v in _child_members(spec.kind, n, lows, nodes, index_of):
+        c = index_of[v]
         if parent_of[c] is not None:
             raise NotSpanningError(
                 f"cycle ({nodes[c].representative}) is designated by "
                 f"two conjugate pairs"
             )
-        parent_of[c] = index_of[v ^ top]
+        parent_of[c] = ids[index_of[v ^ top]]
         member_of[c] = v
     # z - 1 distinct children leave exactly one root.
     root = parent_of.index(None)
@@ -185,7 +202,7 @@ def extract_tree(
             j = parent_of[j]
         for j in path:
             reached[j] = 1
-    return CycleTree(nodes=nodes, parents=tuple(parent_of), members=tuple(member_of), root=root)
+    return CycleTree(nodes=nodes, parents=tuple(parent_of), members=member_of, root=root)
 
 
 @dataclass(frozen=True)
@@ -193,12 +210,22 @@ class ValidationReport:
     """Outcome of checking a critical set against the tree conditions."""
 
     spec: RuleSpec
-    cycle_count: int
-    deviation_count: int
-    root_representative: State
     ok: bool
     failures: Tuple[str, ...]
     tree: CycleTree
+
+    @property
+    def cycle_count(self) -> int:
+        return len(self.tree.nodes)
+
+    @property
+    def deviation_count(self) -> int:
+        """Critical states: the two of each pair that joins a child to its parent."""
+        return 2 * (len(self.tree.parents) - self.tree.parents.count(None))
+
+    @property
+    def root_representative(self) -> State:
+        return self.tree.nodes[self.tree.root].representative
 
     def summary(self) -> str:
         status = "ok" if self.ok else "FAILED"
@@ -235,18 +262,12 @@ def verify_critical_set(
             if p is not None and p > c
         ]
     else:
+        # a complementing-type cycle's oldest and youngest bits differ (_cycle_kind)
+        reps, m = nodes.representatives, spec.n - 1
         failures = [
             f"cycle ({nodes[c].representative}) does not follow its "
             f"parent's anchor ({nodes[parents[p]].representative})"
             for c, p in enumerate(parents)
-            if p not in (None, root) and parents[p] > c and nodes[c].kind is CycleKind.CCR
+            if p not in (None, root) and parents[p] > c and (reps[c] >> m ^ reps[c]) & 1
         ]
-    return ValidationReport(
-        spec=spec,
-        cycle_count=len(nodes),
-        deviation_count=2 * (len(nodes) - 1),
-        root_representative=nodes[root].representative,
-        ok=not failures,
-        failures=tuple(failures),
-        tree=tree,
-    )
+    return ValidationReport(spec=spec, ok=not failures, failures=tuple(failures), tree=tree)

@@ -10,9 +10,11 @@ cycles of order n - 1, which is what the successor rules exploit.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from .canonical import _fkm_walk
 from .core import MAX_LENGTH, State
@@ -102,8 +104,7 @@ class Cycle:
     """One cycle of the PRR state graph.
 
     Member states are not stored: they are the period PRR steps from the
-    representative, so a full decomposition keeps O(2^n) bytes of
-    bookkeeping instead of O(n 2^n) of state objects.
+    representative.  A CycleArray builds these records as they are read.
     """
 
     representative: State
@@ -112,21 +113,55 @@ class Cycle:
 
 
 @dataclass(frozen=True, slots=True)
+class CycleArray(Sequence):
+    """Read-only sequence of order-n PRR cycles, held as two arrays: the
+    representatives' values (array('Q')) and the periods (array('B')).
+
+    Indexing and iteration build each Cycle when it is read; the kind
+    follows from the representative.  So a whole decomposition keeps 9
+    bytes per cycle.  Equal contents compare and hash alike.
+    """
+
+    order: int
+    representatives: array
+    periods: array
+
+    def __len__(self) -> int:
+        return len(self.periods)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CycleArray(self.order, self.representatives[i], self.periods[i])
+        v = self.representatives[i]
+        return Cycle(State(v, self.order), _cycle_kind(v, self.order), self.periods[i])
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.representatives.tobytes(), self.periods.tobytes()))
+
+
+@dataclass(frozen=True, slots=True)
 class CycleStructure:
     """Full cycle decomposition of the order-n PRR."""
 
     order: int
-    pcr_cycles: Tuple[Cycle, ...]
-    ccr_cycles: Tuple[Cycle, ...]
+    pcr_cycles: CycleArray
+    ccr_cycles: CycleArray
 
     @property
-    def cycles(self) -> Tuple[Cycle, ...]:
-        return self.pcr_cycles + self.ccr_cycles
+    def cycles(self) -> CycleArray:
+        """Every cycle, the PCR-type ones first."""
+        pcr, ccr = self.pcr_cycles, self.ccr_cycles
+        return CycleArray(
+            self.order, pcr.representatives + ccr.representatives, pcr.periods + ccr.periods
+        )
 
     def to_text(self) -> str:
         """One line per cycle: kind, period, representative."""
+        n = self.order
         return "\n".join(
-            f"{c.kind.value} {c.period} ({c.representative})" for c in self.cycles
+            f"{kind.value} {p} ({v:0{n}b})"
+            for kind, part in ((CycleKind.PCR, self.pcr_cycles), (CycleKind.CCR, self.ccr_cycles))
+            for v, p in zip(part.representatives, part.periods)
         )
 
 
@@ -145,18 +180,18 @@ def decompose(n: int) -> CycleStructure:
     m = n - 1
     mask = (1 << m) - 1
     necklaces, periods, conecklaces = _fkm_walk(m)
-    pcr = tuple(
-        Cycle(State((x << 1) | (x >> (m - 1)), n), CycleKind.PCR, p)
-        for x, p in zip(necklaces, periods)
+    pcr = CycleArray(
+        n, array("Q", [(x << 1) | (x >> (m - 1)) for x in necklaces]), array("B", periods)
     )
     # Rotating C.~C by m complements it, so its period is 2m/d for an odd d | m.
     shifts = [2 * m // d for d in range(m, 0, -1) if m % d == 0 and d & 1]
-    ccr = []
+    ccr_periods = array("B")
     for x in conecklaces:  # each starts with 0
         w = (x << m) | (x ^ mask)
         p = next(s for s in shifts if (w >> s) | (w & ((1 << s) - 1)) << (2 * m - s) == w)
-        ccr.append(Cycle(State((x << 1) | 1, n), CycleKind.CCR, p))
-    return CycleStructure(n, pcr, tuple(ccr))
+        ccr_periods.append(p)
+    ccr = CycleArray(n, array("Q", [(x << 1) | 1 for x in conecklaces]), ccr_periods)
+    return CycleStructure(n, pcr, ccr)
 
 
 class CycleCounts(NamedTuple):

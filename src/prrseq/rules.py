@@ -173,12 +173,23 @@ class RuleSpec:
         return f"{self.kind.value}:n={self.n}"
 
 
+def _decimal(raw: str) -> int:
+    """The one integer syntax of spec fields and CLI flags: ASCII digits
+    with an optional leading -.  int() alone would also take 1_6, +6, " 4"
+    and non-ASCII digits.  Raises ValueError otherwise, and past int()'s
+    4300-digit limit."""
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ValueError(f"not a decimal integer: {raw!r}")
+    return int(raw)
+
+
 def _parse_int(raw: Optional[str], field: str) -> int:
     if raw is None:
         raise SpecSyntaxError(f"missing field {field!r}")
-    if not re.fullmatch(r"-?[0-9]+", raw):
-        raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}")
-    return int(raw)
+    try:
+        return _decimal(raw)
+    except ValueError:
+        raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}") from None
 
 
 def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:

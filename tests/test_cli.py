@@ -104,12 +104,13 @@ class TestGenerate:
         assert code == 2
         assert "missing field" in err
 
-    def test_non_decimal_integer_exits_2(self, capsys):
-        # int() reads 6_0 as 60
-        code, out, err = run(capsys, "generate", "--spec", "sala:n=6_0")
+    @pytest.mark.parametrize("n", ["6_0", pytest.param("1" * 5000, id="5000-digits")])
+    def test_non_decimal_integer_exits_2(self, capsys, n):
+        # int() reads 6_0 as 60, and raises past 4300 digits
+        code, out, err = run(capsys, "generate", "--spec", f"sala:n={n}")
         assert code == 2
         assert out == ""
-        assert is_one_line_error(err) and "'6_0'" in err
+        assert is_one_line_error(err) and repr(n) in err
 
     def test_unknown_kind_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--spec", "nope:n=6")
@@ -165,6 +166,34 @@ class TestGenerate:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["generate", "--spec", "sala:n=4", "--bogus"]) == 2
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--spec", "sala:n=4", "--count", "1_6"],
+            ["verify", "--n", "\u0664"],
+            ["bench", "--spec", "sala:n=8", "--bits", "1_0"],
+            ["bench", "--spec", "sala:n=8", "--repeat", "\uff13"],
+            ["decompose", "--n", " 4"],
+            ["family", "--kind", "sala", "--n", "+4"],
+            ["table", "--which", "table1", "--n", "6_0"],
+        ],
+    )
+    def test_non_decimal_integer_exits_2(self, capsys, monkeypatch, argv):
+        # int() takes each of these; flags follow the spec fields' rule
+        monkeypatch.setattr("sys.stdin", io.StringIO("0000100110101111"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert is_one_line_error(err)
+        assert f"argument {argv[-2]}: expected a decimal integer, got {argv[-1]!r}" in err
+
+    def test_argument_errors_take_one_line(self, capsys):
+        code, out, err = run(capsys, "generate", "--spec", "sala:n=4", "--bogus")
+        assert code == 2 and out == ""
+        assert err == "error: unrecognized arguments: --bogus\n"
 
 
 class TestVerify:

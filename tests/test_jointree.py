@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import fields
 from functools import lru_cache
 from typing import Dict, List
@@ -14,6 +15,7 @@ from prrseq import (
     RuleSpec,
     State,
     TreeEdge,
+    ValidationReport,
     all_specs,
     count_cycles,
     decompose,
@@ -205,7 +207,7 @@ def verify_by_tree(spec, critical=None):
     """The same, read from verify_critical_set's report and its tree."""
     report = verify_critical_set(spec, critical)
     tree = report.tree
-    return tree.nodes, tree.edges, tree.root, tree.to_dot(), report.summary(), report.failures
+    return tuple(tree.nodes), tree.edges, tree.root, tree.to_dot(), report.summary(), report.failures
 
 
 def outcome(verify, spec, critical=None):
@@ -392,7 +394,7 @@ class TestOrientation:
         steps onto its own cycle's representative only as 0^n, the root, so
         the member that does is hi, on exactly one pair per non-root cycle."""
         for n in range(3, 15):
-            nodes, index_of = _cycle_index(n)
+            nodes, index_of, _ = _cycle_index(n)
             top = 1 << (n - 1)
             mask = (1 << n) - 1
             mid_mask = (1 << (n - 2)) - 1
@@ -429,7 +431,9 @@ class TestPerPairOracle:
 
     @pytest.mark.parametrize("n", range(3, 17))
     def test_index_matches_stepping(self, n):
-        assert _cycle_index(n) == stepped_index(n)
+        nodes, index_of, ids = _cycle_index(n)
+        assert (tuple(nodes), list(index_of)) == stepped_index(n)
+        assert ids == list(range(len(nodes)))
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_every_spec(self, n):
@@ -533,6 +537,32 @@ class TestVerifyCriticalSet:
         assert report.failures == (
             "cycle (000101) does not follow its parent's anchor (010101)",
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["sala:n=16", "psi1:n=16:kset=1,2,5,16", "psi2:n=16:k=1234",
+         "upsilon1:n=16:kset=1,4,16", "upsilon2:n=16:k=777"],
+    )
+    def test_report_keeps_two_words_per_cycle(self, text):
+        # the parent array's shared ints and the members' array('Q'); the
+        # nodes belong to the cached cycle index, which a first run builds
+        spec = RuleSpec.parse(text)
+        verify_critical_set(spec)
+        tracemalloc.start()
+        try:
+            report = verify_critical_set(spec)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 24 * report.cycle_count, kept / report.cycle_count
+
+    def test_report_counts_are_read_from_its_tree(self):
+        assert [f.name for f in fields(ValidationReport)] == ["spec", "ok", "failures", "tree"]
+        report = verify_critical_set(RuleSpec.parse("upsilon2:n=6:k=1"))
+        tree = report.tree
+        assert report.cycle_count == len(tree.nodes) == 12
+        assert report.deviation_count == 2 * len(tree.edges) == 22
+        assert report.root_representative == tree.nodes[tree.root].representative
 
     def test_summary_line(self):
         report = verify_critical_set(RuleSpec.parse("sala:n=6"))

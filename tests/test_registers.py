@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,11 +20,12 @@ from prrseq import (
     find_repeated_window,
     prr_next_bit,
 )
+from prrseq.canonical import _fkm_walk
 from prrseq.core import rotate_left_value
 from prrseq.registers import (
     ORDER_LIMITS,
     Cycle,
-    CycleStructure,
+    CycleArray,
     _prr_feedback_table,
     prr_leap_value,
     prr_step_value,
@@ -35,9 +39,10 @@ def run_count(v, n):
 
 
 def scan_decompose(n):
-    """The cycles found by stepping every state, in increasing order, so the
-    first unvisited value on each cycle is its least member: the oracle for
-    decompose, which builds them from the necklaces and co-necklaces."""
+    """The PCR-type and CCR-type cycles found by stepping every state, in
+    increasing order, so the first unvisited value on each cycle is its
+    least member: the oracle for decompose, which builds them from the
+    necklaces and co-necklaces."""
     size = 1 << n
     mask = size - 1
     visited = bytearray(size)
@@ -53,7 +58,7 @@ def scan_decompose(n):
             v = prr_step_value(v, n, mask)
         kind = classify_state(State(v0, n))
         (pcr if kind is CycleKind.PCR else ccr).append(Cycle(State(v0, n), kind, period))
-    return CycleStructure(n, tuple(pcr), tuple(ccr))
+    return tuple(pcr), tuple(ccr)
 
 
 def states(min_len=3, max_len=16):
@@ -186,7 +191,42 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", range(3, 19))
     def test_equals_the_state_scan(self, n):
-        assert decompose(n).to_text() == scan_decompose(n).to_text()
+        d = decompose(n)
+        pcr, ccr = scan_decompose(n)
+        assert (tuple(d.pcr_cycles), tuple(d.ccr_cycles)) == (pcr, ccr)
+        assert d.to_text() == "\n".join(
+            f"{c.kind.value} {c.period} ({c.representative})" for c in pcr + ccr
+        )
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_cycle_arrays_read_as_the_scanned_records(self, n):
+        d = decompose(n)
+        pcr, ccr = scan_decompose(n)
+        for cycles, records in ((d.pcr_cycles, pcr), (d.ccr_cycles, ccr), (d.cycles, pcr + ccr)):
+            size = len(records)
+            assert len(cycles) == size
+            assert tuple(cycles) == records
+            assert tuple(cycles[i] for i in range(-size, size)) == records + records
+            with pytest.raises(IndexError):
+                cycles[size]
+            reps = array("Q", [c.representative.value for c in records])
+            periods = array("B", [c.period for c in records])
+            same = CycleArray(n, reps, periods)
+            assert cycles == same and hash(cycles) == hash(same)
+            periods[-1] += 1
+            assert cycles != CycleArray(n, reps, periods)
+
+    def test_holds_nine_bytes_per_cycle(self):
+        # the representatives' values and the periods, as arrays: no Cycle
+        # or State records, and no int objects
+        _fkm_walk(15)
+        tracemalloc.start()
+        try:
+            d = decompose(16)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * count_cycles(16).total, held / len(d.cycles)
 
     @pytest.mark.parametrize("n", [19, 20])
     def test_counts_and_periods_above_the_scan(self, n):
