@@ -10,11 +10,13 @@ MAX_BITS, and so on).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from collections import deque
-from typing import Optional
+from itertools import chain, islice
+from typing import Iterable, Optional
 
 from .core import State
 from .jointree import NotPairedError, NotSpanningError, verify_critical_set
@@ -47,12 +49,10 @@ def _check_bits(bits: int, what: str) -> None:
         raise OrderOutOfRangeError(f"{what} must be at most {MAX_BITS} bits, got {bits}")
 
 
-def _write_out(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n" if text else "")
-    elif text:
-        print(text)
+def _write_out(pieces: Iterable[str], path: Optional[str]) -> None:
+    """Write the pieces of text as they come to the file path, or to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as sink:
+        sink.writelines(pieces)
 
 
 def cmd_generate(args) -> int:
@@ -69,18 +69,9 @@ def cmd_generate(args) -> int:
     if count < 0:
         raise SpecSyntaxError(f"count must be >= 0, got {count}")
     _check_bits(count, "--count (default 2^n)")
-    if count == 0:
-        _write_out("", args.out)
-        return EXIT_OK
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
-        cyclic = args.format == "cyclic"
-        sink.write("(" if cyclic else "")
-        sink.writelines(_bit_text(generate(spec, start, count)))
-        sink.write(")\n" if cyclic else "\n")
-    finally:
-        if args.out:
-            sink.close()
+    head, tail = ("(", ")\n") if args.format == "cyclic" else ("", "\n")
+    bits = _bit_text(generate(spec, start, count))
+    _write_out(chain([head], bits, [tail]) if count else [], args.out)
     return EXIT_OK
 
 
@@ -109,13 +100,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _write_out(decompose(args.n).to_text(), args.out)
+    # 1024 lines a write: with an unbuffered stdout (python -u) each write is a system call
+    lines = decompose(args.n).lines()
+    _write_out(iter(lambda: "".join(islice(lines, 1024)), ""), args.out)
     return EXIT_OK
 
 
 def cmd_family(args) -> int:
     report = enumerate_family(RuleKind(args.kind), args.n)
-    _write_out(report.to_csv(), args.out)
+    _write_out([report.to_csv(), "\n"], args.out)
     ok = all(e.de_bruijn for e in report.entries) and report.distinct == report.expected
     return EXIT_OK if ok else EXIT_PROPERTY
 
@@ -126,20 +119,18 @@ def cmd_table(args) -> int:
         if args.which == "table1"
         else (RuleKind.UPSILON1, RuleKind.UPSILON2)
     )
-    lines = [e.sequence for kind in kinds for e in enumerate_family(kind, args.n).entries]
-    _write_out("\n".join(lines), args.out)
+    reports = [enumerate_family(kind, args.n) for kind in kinds]
+    _write_out((f"{e.sequence}\n" for report in reports for e in report.entries), args.out)
     return EXIT_OK
 
 
 def cmd_tree(args) -> int:
     spec = RuleSpec.parse(args.spec)
     report = verify_critical_set(spec)
-    _write_out(report.tree.to_dot(), args.out)
-    if not report.ok:
-        for line in report.failures:
-            print(f"fail: {line}", file=sys.stderr)
-        return EXIT_PROPERTY
-    return EXIT_OK
+    _write_out([report.tree.to_dot(), "\n"], args.out)
+    for line in report.failures:
+        print(f"fail: {line}", file=sys.stderr)
+    return EXIT_OK if report.ok else EXIT_PROPERTY
 
 
 def ns_per_bit(spec: RuleSpec, bits: int, repeat: int, start: int = 0) -> float:

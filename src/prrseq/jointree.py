@@ -210,9 +210,12 @@ class ValidationReport:
     """Outcome of checking a critical set against the tree conditions."""
 
     spec: RuleSpec
-    ok: bool
     failures: Tuple[str, ...]
     tree: CycleTree
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     @property
     def cycle_count(self) -> int:
@@ -270,4 +273,4 @@ def verify_critical_set(
             for c, p in enumerate(parents)
             if p not in (None, root) and parents[p] > c and (reps[c] >> m ^ reps[c]) & 1
         ]
-    return ValidationReport(spec=spec, ok=not failures, failures=tuple(failures), tree=tree)
+    return ValidationReport(spec, tuple(failures), tree)

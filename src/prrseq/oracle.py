@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 from .registers import check_order
@@ -98,11 +99,29 @@ class FamilyReport:
 
     label: str
     n: int
-    total: int
-    distinct: int
     expected: Optional[int]
     entries: Tuple[FamilyEntry, ...]
-    collisions: Tuple[Tuple[str, str], ...]
+
+    @cached_property
+    def _groups(self) -> List[List[str]]:
+        """The specs of each distinct sequence, in order of first appearance."""
+        groups: dict = {}
+        for e in self.entries:
+            groups.setdefault(e.sequence, []).append(e.spec.spec_string())
+        return list(groups.values())
+
+    @property
+    def total(self) -> int:
+        return len(self.entries)
+
+    @property
+    def distinct(self) -> int:
+        return len(self._groups)
+
+    @property
+    def collisions(self) -> Tuple[Tuple[str, str], ...]:
+        """Each pair of specs that give the same sequence."""
+        return tuple(pair for specs in self._groups for pair in itertools.combinations(specs, 2))
 
     def to_csv(self) -> str:
         lines = ["spec,sequence,de_bruijn"]
@@ -114,28 +133,6 @@ class FamilyReport:
             f"distinct={self.distinct} expected={expected}"
         )
         return "\n".join(lines)
-
-
-def _build_report(
-    label: str, n: int, entries: List[FamilyEntry], expected: Optional[int]
-) -> FamilyReport:
-    groups: dict = {}
-    for e in entries:
-        groups.setdefault(e.sequence, []).append(e)
-    collisions = []
-    for group in groups.values():
-        if len(group) > 1:
-            specs = [e.spec.spec_string() for e in group]
-            collisions.extend(itertools.combinations(specs, 2))
-    return FamilyReport(
-        label=label,
-        n=n,
-        total=len(entries),
-        distinct=len(groups),
-        expected=expected,
-        entries=tuple(entries),
-        collisions=tuple(collisions),
-    )
 
 
 def enumerate_family(kind: RuleKind, n: int) -> FamilyReport:
@@ -151,7 +148,7 @@ def enumerate_family(kind: RuleKind, n: int) -> FamilyReport:
     for spec in all_specs(kind, n):
         bits = generate_sequence(spec)
         entries.append(FamilyEntry(spec, bits, is_de_bruijn(bits, n)))
-    return _build_report(kind.value, n, entries, family_size(kind, n))
+    return FamilyReport(kind.value, n, family_size(kind, n), tuple(entries))
 
 
 def family_union(*reports: FamilyReport) -> FamilyReport:
@@ -161,6 +158,5 @@ def family_union(*reports: FamilyReport) -> FamilyReport:
     n = reports[0].n
     if any(r.n != n for r in reports):
         raise ValueError("family reports must share one order")
-    entries = [e for r in reports for e in r.entries]
-    label = "+".join(r.label for r in reports)
-    return _build_report(label, n, entries, None)
+    entries = tuple(e for r in reports for e in r.entries)
+    return FamilyReport("+".join(r.label for r in reports), n, None, entries)

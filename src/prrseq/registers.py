@@ -11,7 +11,7 @@ cycles of order n - 1, which is what the successor rules exploit.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -155,11 +155,12 @@ class CycleStructure:
             self.order, pcr.representatives + ccr.representatives, pcr.periods + ccr.periods
         )
 
-    def to_text(self) -> str:
-        """One line per cycle: kind, period, representative."""
+    def lines(self) -> Iterator[str]:
+        """Kind, period and representative of each cycle, PCR-type first,
+        as newline-terminated lines."""
         n = self.order
-        return "\n".join(
-            f"{kind.value} {p} ({v:0{n}b})"
+        return (
+            f"{kind.value} {p} ({v:0{n}b})\n"
             for kind, part in ((CycleKind.PCR, self.pcr_cycles), (CycleKind.CCR, self.ccr_cycles))
             for v, p in zip(part.representatives, part.periods)
         )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prrseq import RuleSpec, find_repeated_window, generate
+from prrseq.canonical import _fkm_walk
 from prrseq.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,6 +86,13 @@ class TestGenerate:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["raw", "cyclic"])
+    def test_count_zero_leaves_an_empty_out_file(self, capsys, tmp_path, fmt):
+        target = tmp_path / "seq.txt"
+        argv = ["--spec", "sala:n=4", "--count", "0", "--format", fmt, "--out", str(target)]
+        assert run(capsys, "generate", *argv) == (0, "", "")
+        assert target.read_text() == ""
+
     def test_out_file(self, capsys, tmp_path, table1_rows):
         target = tmp_path / "seq.txt"
         code, out, _ = run(
@@ -138,16 +146,24 @@ class TestGenerate:
             f"error: --count (default 2^n) must be at most 16777216 bits, got {count}\n"
         )
 
-    def test_reader_closing_stdout_early_exits_0_quietly(self):
-        # 2^20 bits, far more than a pipe buffer holds
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (["generate", "--spec", "sala:n=20"], b"0" * 10),
+            (["decompose", "--n", "20"], b"pcr 1 (000"),
+        ],
+        ids=["generate", "decompose"],
+    )
+    def test_reader_closing_stdout_early_exits_0_quietly(self, argv, head):
+        # 2^20 bits, or 52,488 lines: far more than a pipe buffer holds
         proc = subprocess.Popen(
-            [sys.executable, "-m", "prrseq", "generate", "--spec", "sala:n=20"],
+            [sys.executable, "-m", "prrseq", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=ENV,
         )
         try:
-            assert proc.stdout.read(10) == b"0" * 10
+            assert proc.stdout.read(10) == head
             proc.stdout.close()
             assert proc.wait(timeout=30) == 0
             assert proc.stderr.read() == b""
@@ -300,6 +316,23 @@ class TestFiles:
         assert out == ""
         assert is_one_line_error(err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--n", "25"],
+            ["generate", "--spec", "sala:n=25"],
+            ["generate", "--spec", "sala:n=65", "--count", "8"],
+            ["table", "--which", "table1", "--n", "12"],
+        ],
+    )
+    def test_order_out_of_range_leaves_no_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert is_one_line_error(err)
+        assert not target.exists()
+
 
 class TestDecompose:
     def test_order_six(self, capsys):
@@ -314,6 +347,24 @@ class TestDecompose:
     def test_out_of_range_exits_3(self, capsys):
         code, _, err = run(capsys, "decompose", "--n", "2")
         assert code == 3
+
+    def test_streams_its_lines(self, tmp_path):
+        # The cycle arrays and 1024 lines at a time: the whole text, joined,
+        # would be one output length more, and the list of its lines three.
+        # The FKM walk and the parser's first-use caches are warmed first.
+        target = tmp_path / "cycles.txt"
+        _fkm_walk(17)
+        main(["decompose", "--n", "3", "--out", str(target)])
+        tracemalloc.start()
+        try:
+            code = main(["decompose", "--n", "18", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = target.stat().st_size
+        assert size == 323_901
+        assert peak < 2 * size, peak / size
 
 
 class TestFamily:

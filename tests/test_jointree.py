@@ -557,9 +557,10 @@ class TestVerifyCriticalSet:
         assert kept <= 24 * report.cycle_count, kept / report.cycle_count
 
     def test_report_counts_are_read_from_its_tree(self):
-        assert [f.name for f in fields(ValidationReport)] == ["spec", "ok", "failures", "tree"]
+        assert [f.name for f in fields(ValidationReport)] == ["spec", "failures", "tree"]
         report = verify_critical_set(RuleSpec.parse("upsilon2:n=6:k=1"))
         tree = report.tree
+        assert report.ok and not ValidationReport(report.spec, ("a failure",), tree).ok
         assert report.cycle_count == len(tree.nodes) == 12
         assert report.deviation_count == 2 * len(tree.edges) == 22
         assert report.root_representative == tree.nodes[tree.root].representative

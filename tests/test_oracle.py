@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from prrseq import (
+    FamilyReport,
     LengthMismatchError,
     OrderOutOfRangeError,
     RuleKind,
@@ -254,6 +256,14 @@ class TestFamilyUnion:
         )
         grand = family_union(psi, ups)
         assert grand.distinct == psi.distinct + ups.distinct
+
+    def test_counts_are_read_from_the_entries(self):
+        assert [f.name for f in fields(FamilyReport)] == ["label", "n", "expected", "entries"]
+        a, b = enumerate_family(RuleKind.PSI2, 5).entries[:2]
+        report = FamilyReport("pair", 5, None, (a, b, a, a))
+        assert (report.total, report.distinct) == (4, 2)
+        specs = (a.spec.spec_string(),) * 2
+        assert report.collisions == (specs, specs, specs)
 
     def test_rejects_mixed_orders(self):
         with pytest.raises(ValueError):

@@ -194,8 +194,8 @@ class TestDecompose:
         d = decompose(n)
         pcr, ccr = scan_decompose(n)
         assert (tuple(d.pcr_cycles), tuple(d.ccr_cycles)) == (pcr, ccr)
-        assert d.to_text() == "\n".join(
-            f"{c.kind.value} {c.period} ({c.representative})" for c in pcr + ccr
+        assert "".join(d.lines()) == "".join(
+            f"{c.kind.value} {c.period} ({c.representative})\n" for c in pcr + ccr
         )
 
     @pytest.mark.parametrize("n", range(3, 17))
@@ -240,8 +240,8 @@ class TestDecompose:
         with pytest.raises(OrderOutOfRangeError):
             decompose(25)
 
-    def test_to_text_shape(self):
-        lines = decompose(6).to_text().splitlines()
+    def test_lines_shape(self):
+        lines = "".join(decompose(6).lines()).splitlines()
         assert len(lines) == 12
         assert lines[0] == "pcr 1 (000000)"
         assert lines[-1] == "ccr 2 (010101)"
