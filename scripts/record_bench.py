@@ -11,11 +11,12 @@ tier1.wall_s.  Then the per-bit generation cost of criterion 09
 state as the criterion does and, above the table cap, also from one start
 state per order drawn with random.Random(SEED): the all-zero state is an
 unrepresentative start there (psi2 at n = 64 spends most of its first 2^15
-bits on CCR arcs from it).  Last, two whole-register operations past the
-benchmark's orders are each run REPEATS times in a fresh process, which
-reports its wall time and peak RSS: decompose(24), at the order cap, and
-verify_critical_set for one spec per family at n = 20 (the CI's specs),
-the first building the cycle index.
+bits on CCR arcs from it).  Last, three jobs past the benchmark's orders
+are each run REPEATS times in a fresh process, which reports its wall time
+and peak RSS: decompose(24), at the order cap; verify_critical_set for one
+spec per family at n = 20 (the CI's specs), the first building the cycle
+index; and enumerate_family for psi2 at n = 11, the family cap (2520
+specs, each generated and window-checked).
 
 The file at the root of the checkout holds the machine, the Python
 version and the commit, one case per end-to-end metric and per ns/bit
@@ -46,13 +47,14 @@ SEED = 1
 ORDERS = (8, 16, 21, 32, 64)
 BITS = 1 << 15
 # name -> (n, the timed statement, run after `import prrseq`)
-WHOLE_REGISTER = {
+FRESH = {
     "decompose": (24, "prrseq.decompose(24)"),
     "verify_critical_set": (20, (
         "for text in ('sala:n=20', 'psi1:n=20:kset=1,4,7,20', 'psi2:n=20:k=12345',"
         " 'upsilon1:n=20:kset=1,3,20', 'upsilon2:n=20:k=777'):\n"
         "    assert prrseq.verify_critical_set(prrseq.RuleSpec.parse(text)).ok"
     )),
+    "enumerate_family_psi2": (11, "prrseq.enumerate_family('psi2', 11)"),
 }
 
 
@@ -153,7 +155,7 @@ def main(argv=None) -> int:
                 costs = [ns_per_bit(spec, BITS, 1, starts[n]) for _ in range(REPEATS)]
                 cases.append(case(f"ns_per_bit_random_start.{label}", n, "ns/bit", costs))
 
-    for name, (n, statement) in WHOLE_REGISTER.items():
+    for name, (n, statement) in FRESH.items():
         walls, rss = zip(*(fresh(statement) for _ in range(REPEATS)))
         cases.append(case(f"{name}.wall_s", n, "s", list(walls)))
         cases.append(case(f"{name}.peak_rss_mb", n, "MiB", list(rss)))

@@ -8,6 +8,8 @@ the generator and the theory rather than assuming it.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
@@ -15,41 +17,47 @@ from typing import Iterator, List, Optional, Tuple
 from .registers import check_order
 from .rules import RuleKind, RuleSpec, exponent_period, exponent_range, generate_sequence
 
+_NOT_BITS = str.maketrans("", "", "01")
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 
 class LengthMismatchError(ValueError):
     """Bit string length is not 2^n."""
-
-
-def _check_bits(bits: str, n: int) -> None:
-    check_order(n, "window")
-    if bits.strip("01"):
-        raise ValueError("bit string may contain only 0 and 1")
-    if len(bits) != 1 << n:
-        raise LengthMismatchError(
-            f"order {n} needs {1 << n} bits, got {len(bits)}"
-        )
 
 
 def find_repeated_window(bits: str, n: int) -> Optional[Tuple[int, str]]:
     """Position and value of the first cyclic n-window that repeats an
     earlier one, or None if all 2^n windows are distinct.
 
-    One pass over the characters' codes ("0" is even, "1" odd): the next
-    window shifts in the character n on, read from the start again past
-    the end.  The string is encoded 4096 characters at a time, so no copy
-    of it is held.  The windows before the first repeat are distinct, so
-    its position is the number marked seen."""
-    _check_bits(bits, n)
+    The windows go 4096 at a time, each piece sliced from bits with the
+    n - 1 characters after it (the last piece wraps), so no copy of bits is
+    held.  A piece's bits, one per w-byte field of an int (its UTF-16 or
+    UTF-32 code units), times the sum over j < n of 2^((8w + 1)j), hold in
+    field i >= n - 1 the window that ends at character i.  The windows
+    before the first repeat are distinct, so its position is the number
+    marked seen."""
+    check_order(n, "window")
+    if bits.translate(_NOT_BITS):
+        raise ValueError("bit string may contain only 0 and 1")
     size = 1 << n
-    mask = size - 1
+    if len(bits) != size:
+        raise LengthMismatchError(f"order {n} needs {size} bits, got {len(bits)}")
     seen = bytearray(size)
-    v = int(bits[:n], 2)
-    pieces = itertools.chain((bits[i : i + 4096] for i in range(n, size, 4096)), [bits[:n]])
-    for b in itertools.chain.from_iterable(map(str.encode, pieces)):
-        if seen[v]:
-            return seen.count(1), format(v, f"0{n}b")
-        seen[v] = 1
-        v = (v << 1 & mask) | (b & 1)
+    code, w = ("H", 2) if n <= 16 else ("I", 4)
+    spread = sum(1 << (8 * w + 1) * j for j in range(n))
+    for start in range(0, size, 4096):
+        piece = bits[start : start + 4095 + n]
+        if start + 4096 >= size:
+            piece += bits[: n - 1]
+        x = int.from_bytes(piece.encode(f"utf-{8 * w}-le").translate(_BITS), "little")
+        fields = (x * spread).to_bytes(w * (len(piece) + n), "little")
+        windows = array(code, fields[w * (n - 1) : w * len(piece)])
+        if sys.byteorder == "big":
+            windows.byteswap()
+        for v in windows:
+            if seen[v]:
+                return seen.count(1), format(v, f"0{n}b")
+            seen[v] = 1
     return None
 
 

@@ -182,7 +182,7 @@ def decompose(n: int) -> CycleStructure:
     mask = (1 << m) - 1
     necklaces, periods, conecklaces = _fkm_walk(m)
     pcr = CycleArray(
-        n, array("Q", [(x << 1) | (x >> (m - 1)) for x in necklaces]), array("B", periods)
+        n, array("Q", ((x << 1) | (x >> (m - 1)) for x in necklaces)), array("B", periods)
     )
     # Rotating C.~C by m complements it, so its period is 2m/d for an odd d | m.
     shifts = [2 * m // d for d in range(m, 0, -1) if m % d == 0 and d & 1]
@@ -191,7 +191,7 @@ def decompose(n: int) -> CycleStructure:
         w = (x << m) | (x ^ mask)
         p = next(s for s in shifts if (w >> s) | (w & ((1 << s) - 1)) << (2 * m - s) == w)
         ccr_periods.append(p)
-    ccr = CycleArray(n, array("Q", [(x << 1) | 1 for x in conecklaces]), ccr_periods)
+    ccr = CycleArray(n, array("Q", ((x << 1) | 1 for x in conecklaces)), ccr_periods)
     return CycleStructure(n, pcr, ccr)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -283,11 +284,17 @@ def _index_of_jth_one(x: int, m: int, j: int) -> int:
     return lo
 
 
+def _mark_ranks(spec: RuleSpec) -> List[int]:
+    """j[c] = (c - e(c)) mod c + 1, c in 1..n-1: which counted bit of a
+    necklace with c of them starts spec's mark in its class (_mark_shift)."""
+    e = _exponents(spec.kind, spec.n, spec.kset, spec.k)
+    return [0] + [(c - e[c]) % c + 1 for c in range(1, spec.n)]
+
+
 def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
     """An (n-1)-bit necklace x rotated left by shift(x) is spec's mark in x's
-    rotation class, the tail that e(c) advances take to x.  Psi: x's
-    ((c - e(c)) mod c + 1)-th of c ones; upsilon: one past its
-    ((z - e(z)) mod z + 1)-th of z zeros; sala and a constant x: 0.
+    rotation class, the tail that e(c) advances take to x.  Psi: x's j[c]-th
+    of c ones; upsilon: one past its j[z]-th of z zeros; sala, constant x: 0.
 
     A psi advance (lambda) rotates past the first 1; an upsilon advance
     (theta) rotates to the first 0 after position 0, and leaves a tail with
@@ -298,8 +305,7 @@ def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
         return lambda x: 0
     upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
     flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
-    e = _exponents(spec.kind, spec.n, spec.kset, spec.k)
-    j = [0] + [(c - e[c]) % c + 1 for c in range(1, m + 1)]
+    j = _mark_ranks(spec)
 
     def shift(x: int) -> int:
         y = x ^ flip  # psi counts x's ones, upsilon its zeros
@@ -309,24 +315,45 @@ def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
     return shift
 
 
+@lru_cache(maxsize=4)
+def _by_weight(m: int) -> List[array]:
+    """The m-bit necklaces grouped by their number of ones, once per order; read only."""
+    groups = [array("I") for _ in range(m + 1)]
+    for x in _fkm_walk(m)[0]:
+        groups[x.bit_count()].append(x)
+    return groups
+
+
+@lru_cache(maxsize=math.comb(ORDER_LIMITS["family"][1] - 1, 2))
+def _marks(m: int, upsilon: bool, c: int, j: int) -> array:
+    """_mark_shift's marks in the classes whose necklace has c ones (psi) or c
+    zeros (upsilon), 0 < c < m: one read-only group for all specs with j[c] = j.
+    The cache holds every (c, j) of psi, or of upsilon, up to the family cap."""
+    flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
+    return array("I", (
+        rotate_left_value(x, m, _index_of_jth_one(x ^ flip, m, j) + lag)
+        for x in _by_weight(m)[m - c if upsilon else c]
+    ))
+
+
 def _critical_table(spec: RuleSpec) -> bytes:
     """spec's critical flags over the (n-1)-bit tails: one mark per register
     cycle, from one FKM walk.  A co-necklace C (it starts and ends with 0)
     marks C for sala and psi, and ~C, an odd tail starting with 1, for
-    upsilon.  A necklace x marks x rotated by _mark_shift (a constant x is
-    its own mark, and also a co-necklace's)."""
-    n = spec.n
-    check_order(n, "table")
-    m = n - 1
+    upsilon.  A necklace marks itself for sala, as a constant one does for
+    every rule; the other necklaces' marks come by weight class (_marks)."""
+    check_order(spec.n, "table")
+    m = spec.n - 1
     mask = (1 << m) - 1
     necklaces, _, conecklaces = _fkm_walk(m)
-    flip = mask if spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2) else 0
+    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
     table = bytearray(mask + 1)
     for x in conecklaces:
-        table[x ^ flip] = 1
-    shift = _mark_shift(spec)
-    for x in necklaces:
-        table[rotate_left_value(x, m, shift(x))] = 1
+        table[x ^ mask if upsilon else x] = 1
+    sala = spec.kind is RuleKind.SALA
+    groups = () if sala else map(partial(_marks, m, upsilon), range(1, m), _mark_ranks(spec)[1:])
+    for t in chain(necklaces if sala else (0, mask), *groups):
+        table[t] = 1
     return bytes(table)
 
 

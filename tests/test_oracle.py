@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -113,15 +114,73 @@ class TestWindowScan:
             for mutant in flips_and_swaps(bits):
                 assert find_repeated_window(mutant, n) == first_repeat_by_dict(mutant, n), mutant
 
-    @pytest.mark.parametrize("n", [13, 16])
+    @pytest.mark.parametrize("n", [13, 16, 17])
     def test_matches_the_dict_scan_across_the_encoded_pieces(self, n):
-        # the scan encodes 4096 characters at a time, from character n on
+        # the scan reads 4096 windows at a time, 16 bits per window up to
+        # n = 16 and 32 above
         bits = generate_sequence(RuleSpec.parse(f"psi2:n={n}:k=7"))
         assert find_repeated_window(bits, n) is None
         size = 1 << n
         for i in (4095, 4096, 4096 + n - 1, 4096 + n, size - n, size - 1):
             flipped = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
             assert find_repeated_window(flipped, n) == first_repeat_by_dict(flipped, n), i
+
+    def test_matches_the_dict_scan_at_the_edges_of_the_first_piece(self):
+        # flips around window 4096: the first repeat's second occurrence
+        # lands on the last window of the first piece, the first of the
+        # second, and the last whose first character is in the first
+        n = 13
+        reached = set()
+        for k in (1, 2):
+            bits = generate_sequence(RuleSpec(RuleKind.PSI2, n, k=k))
+            for i in range(4090, 4096 + 2 * n):
+                flipped = bits[:i] + "10"[int(bits[i])] + bits[i + 1 :]
+                repeat = first_repeat_by_dict(flipped, n)
+                assert find_repeated_window(flipped, n) == repeat, (k, i)
+                reached.add(repeat[0])
+        assert {4095, 4096, 4096 + n - 2} <= reached
+
+    def test_matches_the_dict_scan_on_repeats_at_every_wrapping_window(self):
+        # a de Bruijn sequence rotated so that its last straight window, with
+        # the last bit flipped, is the value of a wrapping window: flipping
+        # its last character moves the first repeat into the wrap.  The dict
+        # scan checks the first mutant that reaches each position.
+        n = 13
+        size = 1 << n
+        reached = set()
+        for k in range(1, 9):
+            bits = generate_sequence(RuleSpec(RuleKind.PSI2, n, k=k))
+            wrapped = bits + bits[: n - 1]
+            where = {wrapped[i : i + n]: i for i in range(size)}
+            for q in range(size):
+                window = wrapped[q : q + n]
+                if 0 < (where[window[:-1] + "10"[int(window[-1])]] - q) % size < n:
+                    rotated = bits[(q + n) % size :] + bits[: (q + n) % size]
+                    mutant = rotated[:-1] + "10"[int(rotated[-1])]
+                    repeat = find_repeated_window(mutant, n)
+                    if repeat[0] not in reached:
+                        assert repeat == first_repeat_by_dict(mutant, n), (k, q)
+                        reached.add(repeat[0])
+        assert set(range(size - n + 1, size)) <= reached
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_the_dict_scan_on_every_string_of_the_smallest_orders(self, n):
+        size = 1 << n
+        for x in range(1 << size):
+            bits = format(x, f"0{size}b")
+            assert find_repeated_window(bits, n) == first_repeat_by_dict(bits, n), bits
+
+    def test_holds_no_copy_of_the_bits(self):
+        # the 2^20-byte seen array and a few 4096-window pieces
+        n = 20
+        bits = generate_sequence(RuleSpec(RuleKind.SALA, n))
+        tracemalloc.start()
+        try:
+            assert find_repeated_window(bits, n) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20), peak
 
     @given(st.data())
     def test_matches_the_dict_scan_on_any_bits(self, data):
@@ -138,6 +197,12 @@ class TestWindowScan:
         for bits in ("00x1", "0\u00e91\u20ac", "0x1"):
             with pytest.raises(ValueError, match="^bit string may contain only 0 and 1$"):
                 is_de_bruijn(bits, 2)
+
+    @pytest.mark.parametrize("bits", ["x0011", "00x11", "0011x", "00\u00e911", "x001", "0\u20ac1"])
+    def test_bad_characters_win_over_a_wrong_length(self, bits):
+        # first, middle, last and non-ASCII, each too long or too short
+        with pytest.raises(ValueError, match="^bit string may contain only 0 and 1$"):
+            find_repeated_window(bits, 2)
 
     def test_order_out_of_range(self):
         with pytest.raises(OrderOutOfRangeError):

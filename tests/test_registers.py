@@ -228,6 +228,19 @@ class TestDecompose:
             tracemalloc.stop()
         assert held <= 16 * count_cycles(16).total, held / len(d.cycles)
 
+    def test_transient_peak_is_near_what_it_holds(self):
+        # the arrays fill from the walk one value at a time, with no list
+        # of ints beside them (which once took the peak to 3.5 times)
+        _fkm_walk(17)
+        tracemalloc.start()
+        try:
+            d = decompose(18)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d.cycles) == count_cycles(18).total
+        assert peak <= 1.5 * held, (peak, held)
+
     @pytest.mark.parametrize("n", [19, 20])
     def test_counts_and_periods_above_the_scan(self, n):
         cycles = decompose(n).cycles

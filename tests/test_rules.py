@@ -37,6 +37,7 @@ from prrseq.rules import (
     _index_of_jth_one,
     _least_rotation,
     _mark_shift,
+    _marks,
     _pcr_offset,
     _scan_predicate,
     _split_run,
@@ -616,6 +617,56 @@ class TestCriticalTables:
         # tails for upsilon; the selectors mark the rest
         ccr = count_cycles(m + 1).ccr
         assert psi[: 1 << (m - 1)].count(1) == upsilon[1::2].count(1) == ccr
+
+    @staticmethod
+    def rotated_table(spec):
+        """The flags as first built: every co-necklace's mark, then each
+        necklace rotated by _mark_shift, spec by spec."""
+        m = spec.n - 1
+        mask = (1 << m) - 1
+        necklaces, _, conecklaces = _fkm_walk(m)
+        flip = mask if spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2) else 0
+        table = bytearray(mask + 1)
+        for x in conecklaces:
+            table[x ^ flip] = 1
+        shift = _mark_shift(spec)
+        for x in necklaces:
+            table[rotate_left_value(x, m, shift(x))] = 1
+        return bytes(table)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_shared_mark_groups_give_the_rotated_tables(self, n):
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                assert _critical_table(spec) == self.rotated_table(spec), spec
+
+    def test_shared_mark_groups_give_the_rotated_tables_of_drawn_specs(self):
+        rng = random.Random(24)
+        for n in range(10, 21):
+            for spec in _seeded_specs(rng, n):
+                assert _critical_table(spec) == self.rotated_table(spec), spec
+
+    def test_a_sweep_builds_each_mark_group_once_within_the_bound(self):
+        # a psi2 spec reads n - 2 weight classes, and its sweep (n - 2)(n - 1)/2
+        # (c, j) groups in all: up to the family cap they fit in the cache,
+        # so each is built once and then shared
+        _marks.cache_clear()
+        for n, groups in ((9, 28), (11, 45)):
+            before = _marks.cache_info().misses
+            for spec in all_specs(RuleKind.PSI2, n):
+                _critical_table(spec)
+            assert _marks.cache_info().misses - before == groups, n
+        for spec in all_specs(RuleKind.PSI2, 12):  # 55 groups, more than the bound
+            _critical_table(spec)
+        info = _marks.cache_info()
+        assert info.currsize == info.maxsize == 45
+
+    def test_sala_tables_make_no_rotations(self, monkeypatch):
+        # a necklace is its own sala mark
+        calls = []
+        monkeypatch.setattr(prrseq.rules, "rotate_left_value", lambda *a: calls.append(a))
+        _critical_table(RuleSpec(RuleKind.SALA, 12))
+        assert calls == []
 
     def test_equal_specs_share_one_predicate(self):
         # below and above the table cap
