@@ -55,6 +55,10 @@ FRESH = {
         "    assert prrseq.verify_critical_set(prrseq.RuleSpec.parse(text)).ok"
     )),
     "enumerate_family_psi2": (11, "prrseq.enumerate_family('psi2', 11)"),
+    "verify_family_psi2": (12, (
+        "for spec in prrseq.all_specs('psi2', 12):\n"
+        "    assert prrseq.verify_critical_set(spec).ok"
+    )),
 }
 
 

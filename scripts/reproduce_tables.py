@@ -13,12 +13,13 @@ import os
 import sys
 
 from prrseq import RuleKind, enumerate_family, family_union
+from prrseq.cli import _integer
 from prrseq.registers import OrderOutOfRangeError, check_order
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=6)
+    parser.add_argument("--n", type=_integer, default=6)
     args = parser.parse_args()
     try:
         check_order(args.n, "family")
@@ -27,12 +28,9 @@ def main():
         return 3
 
     try:
-        for label, first, second in (
-            ("psi", RuleKind.PSI1, RuleKind.PSI2),
-            ("upsilon", RuleKind.UPSILON1, RuleKind.UPSILON2),
-        ):
-            print(f"== {label} rules, n={args.n} ==")
-            reports = [enumerate_family(kind, args.n) for kind in (first, second)]
+        for side in ("psi", "upsilon"):
+            print(f"== {side} rules, n={args.n} ==")
+            reports = [enumerate_family(kind, args.n) for kind in RuleKind if kind.side == side]
             for report in reports:
                 for e in report.entries:
                     print(f"{e.spec.spec_string():32s} {e.sequence}")

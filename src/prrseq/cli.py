@@ -114,12 +114,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_table(args) -> int:
-    kinds = (
-        (RuleKind.PSI1, RuleKind.PSI2)
-        if args.which == "table1"
-        else (RuleKind.UPSILON1, RuleKind.UPSILON2)
-    )
-    reports = [enumerate_family(kind, args.n) for kind in kinds]
+    side = "psi" if args.which == "table1" else "upsilon"
+    reports = [enumerate_family(kind, args.n) for kind in RuleKind if kind.side == side]
     _write_out((f"{e.sequence}\n" for report in reports for e in report.entries), args.out)
     return EXIT_OK
 

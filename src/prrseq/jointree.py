@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import State
 from .registers import (
@@ -110,7 +110,7 @@ def _cycle_index(n: int):
     return CycleArray(n, reps, periods), index_of, list(range(len(reps)))
 
 
-def _child_members(kind: RuleKind, n: int, lows: Sequence[int], nodes, index_of) -> Sequence[int]:
+def _child_members(kind: RuleKind, n: int, lows: Sequence[int], nodes, index_of) -> Iterable[int]:
     """The member of each conjugate pair (lo, lo + 2^(n-1)) that lies in the
     child cycle: the cycle the rule marks.
 
@@ -123,7 +123,7 @@ def _child_members(kind: RuleKind, n: int, lows: Sequence[int], nodes, index_of)
       representative: hi, as lo does so only as 0^n, whose cycle is the root.
     """
     top = 1 << (n - 1)
-    if kind is RuleKind.SALA:
+    if kind.side == "sala":
         mask = (1 << n) - 1
         reps = nodes.representatives
         for lo in lows:
@@ -131,9 +131,9 @@ def _child_members(kind: RuleKind, n: int, lows: Sequence[int], nodes, index_of)
                 raise NotSpanningError(
                     f"cannot orient conjugate pair ({State(lo, n)}, {State(lo | top, n)})"
                 )
-        return [lo | top for lo in lows]
-    if kind in (RuleKind.PSI1, RuleKind.PSI2):
-        return [lo if ((lo >> (n - 2)) ^ lo) & 1 else lo | top for lo in lows]
+        return (lo | top for lo in lows)
+    if kind.side == "psi":
+        return (lo if ((lo >> (n - 2)) ^ lo) & 1 else lo | top for lo in lows)
     return lows
 
 
@@ -163,7 +163,7 @@ def extract_tree(
     # Sorted, so the pairs' lo come first and their hi follow in the same order.
     h = bisect_left(deviations, top)
     lows = deviations[:h]
-    if deviations[h:] != array("Q", [v | top for v in lows]):
+    if deviations[h:] != array("Q", (v | top for v in lows)):
         marked = set(deviations)
         v = next(v for v in deviations if v ^ top not in marked)
         raise NotPairedError(
@@ -257,7 +257,7 @@ def verify_critical_set(
     tree = extract_tree(spec, critical)
     nodes, parents, root = tree.nodes, tree.parents, tree.root
     # Nodes are sorted by representative: index order is representative order.
-    if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
+    if spec.kind.side != "upsilon":
         failures = [
             f"parent ({nodes[p].representative}) does not precede child "
             f"({nodes[c].representative})"

@@ -73,25 +73,21 @@ def all_specs(kind: RuleKind, n: int) -> Iterator[RuleSpec]:
     middle elements; single-exponent rules by increasing k.
     """
     kind = RuleKind(kind)
-    if kind is RuleKind.SALA:
-        yield RuleSpec(kind, n)
-    elif kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+    if kind.param == "kset":
         middle = range(2, n - 1)
         for r in range(0, n - 2):
             for combo in itertools.combinations(middle, r):
                 yield RuleSpec(kind, n, kset=(1, *combo, n))
-    else:
+    elif kind.param == "k":
         for k in exponent_range(kind, n):
             yield RuleSpec(kind, n, k=k)
+    else:
+        yield RuleSpec(kind, n)
 
 
 def family_size(kind: RuleKind, n: int) -> int:
-    kind = RuleKind(kind)
-    if kind is RuleKind.SALA:
-        return 1
-    if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
-        return 1 << (n - 3)
-    return exponent_period(n)
+    param = RuleKind(kind).param
+    return 1 << (n - 3) if param == "kset" else exponent_period(n) if param == "k" else 1
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from operator import getitem
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -54,6 +54,16 @@ class RuleKind(Enum):
     UPSILON1 = "upsilon1"
     UPSILON2 = "upsilon2"
 
+    @property
+    def side(self) -> str:
+        """Which tail of a cycling-type cycle the rule marks: "sala", "psi" or "upsilon"."""
+        return self._value_.rstrip("12")
+
+    @property
+    def param(self) -> Optional[str]:
+        """The spec field that picks the rule in its family: "kset", "k" or None (sala)."""
+        return {"1": "kset", "2": "k"}.get(self._value_[-1])
+
 
 class SpecSyntaxError(ValueError):
     """Rule spec string does not match the grammar."""
@@ -75,7 +85,7 @@ def exponent_period(n: int) -> int:
 
 def exponent_range(kind: RuleKind, n: int) -> range:
     """Valid k at order n: 1..L for psi2, 0..L-1 for upsilon2, L = exponent_period(n)."""
-    lo = 1 if kind is RuleKind.PSI2 else 0
+    lo = 1 if RuleKind(kind).side == "psi" else 0
     return range(lo, lo + exponent_period(n))
 
 
@@ -101,13 +111,13 @@ class RuleSpec:
         lo, hi = ORDER_LIMITS["rule"]
         if type(self.n) is not int or not lo <= self.n <= hi:
             raise InvalidSpecError(f"n must be an int in [{lo}, {hi}], got {self.n!r}")
-        if self.kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+        param = self.kind.param
+        if param == "kset":
             self._check_kset()
-        elif self.kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+        elif param == "k":
             self._check_k()
-        else:
-            if self.kset is not None or self.k is not None:
-                raise InvalidSpecError("sala takes no parameters besides n")
+        elif self.kset is not None or self.k is not None:
+            raise InvalidSpecError("sala takes no parameters besides n")
 
     def _check_kset(self) -> None:
         if self.k is not None or self.kset is None:
@@ -154,16 +164,39 @@ class RuleSpec:
             fields[key] = val
         n = _parse_int(fields.pop("n", None), "n")
         kset = k = None
-        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+        if kind.param == "kset":
             raw = fields.pop("kset", None)
             if raw is None:
                 raise SpecSyntaxError(f"{kind.value} requires a kset field")
             kset = tuple(_parse_int(item, "kset") for item in raw.split(","))
-        elif kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+        elif kind.param == "k":
             k = _parse_int(fields.pop("k", None), "k")
         if fields:
             raise SpecSyntaxError(f"unexpected field {sorted(fields)[0]!r}")
         return cls(kind, n, kset=kset, k=k)
+
+    @cached_property
+    def exponents(self) -> Tuple[int, ...]:
+        """e[c] advances take an accepted tail with count c to its necklace,
+        c in 1..n-1 (e[0] unused; empty for sala): the weight for psi, where
+        1 <= e[c] <= c, and the number of zeros for upsilon, 0 <= e[c] < c.
+        Built on first read; not a field, so not in ==, hash or repr.
+
+        * psi1: the largest kset element <= c; upsilon1: one less.
+        * psi2: k is read cyclically over a cycle's weight-c tails (k and k + c
+          agree).  The accepted tail's advance orbit first hits the necklace at
+          a step congruent to k - 1 mod c, so k = 1 is a full lap of c advances.
+        * upsilon2: zero-prefixed tails have purely periodic advance orbits of
+          period c, so k is read mod c, one step behind psi2.
+
+        k may lie outside the valid range: k and k + exponent_period(n) accept
+        the same tails."""
+        param, lag, ks, k = self.kind.param, self.kind.side == "upsilon", self.kset, self.k
+        if param == "kset":
+            return (0, *[ks[bisect_right(ks, c) - 1] - lag for c in range(1, self.n)])
+        if param == "k":
+            return (0, *[(k - 2 + lag) % c + 1 - lag for c in range(1, self.n)])
+        return ()
 
     def spec_string(self) -> str:
         """Inverse of parse."""
@@ -193,31 +226,6 @@ def _parse_int(raw: Optional[str], field: str) -> int:
         raise SpecSyntaxError(f"field {field!r} needs an integer, got {raw!r}") from None
 
 
-def _exponents(kind: RuleKind, n: int, kset=None, k=None) -> List[int]:
-    """The exponent table of a psi or upsilon rule: e[c] advances take an
-    accepted tail with count c to its necklace, c in 1..n-1 (e[0] unused):
-    the weight for psi, where 1 <= e[c] <= c, and the number of zeros for
-    upsilon, where 0 <= e[c] < c.
-
-    * psi1: the largest kset element <= c; upsilon1: one less.
-    * psi2: k is read cyclically over a cycle's weight-c tails (k and k + c
-      agree).  The accepted tail's advance orbit first hits the necklace at
-      a step congruent to k - 1 mod c, so k = 1 is a full lap of c advances.
-    * upsilon2: zero-prefixed tails have purely periodic advance orbits of
-      period c, so k is read mod c, one step behind psi2.
-
-    k may lie outside RuleSpec's range: k and k + exponent_period(n) accept
-    the same tails.
-    """
-    exponent = {
-        RuleKind.PSI1: lambda c: kset[bisect_right(kset, c) - 1],
-        RuleKind.PSI2: lambda c: (k - 2) % c + 1,
-        RuleKind.UPSILON1: lambda c: kset[bisect_right(kset, c) - 1] - 1,
-        RuleKind.UPSILON2: lambda c: (k - 1) % c,
-    }[kind]
-    return [0] + [exponent(c) for c in range(1, n)]
-
-
 def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     """spec's critical set tested state by state on the tail u, the last
     n - 1 bits: the path above the table cap, and the oracle for the tables.
@@ -228,16 +236,16 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
     class that e(c) advances take to its necklace: psi's on u, upsilon's on
     y = 0 and u's first n - 2 bits.  A necklace starts at a longest 0-run, so
     a selector tests only the one its advances can rotate a tail to."""
-    n, m = spec.n, spec.n - 1
+    m = spec.n - 1
     mask = (1 << m) - 1
-    if spec.kind is RuleKind.SALA:
+    e, side = spec.exponents, spec.kind.side
+    if side == "sala":
 
         def critical(v: int) -> bool:
             u = v & mask
             return is_necklace_value(u, m) or is_conecklace_value(u, m)
 
         return critical
-    e = _exponents(spec.kind, n, spec.kset, spec.k)
 
     def necklace_at(w: int, counted: int, before: int) -> bool:  # w starts with 1
         for s in _longest_zero_runs(w, m):  # at most one has `before` ones of counted ahead
@@ -245,7 +253,7 @@ def _scan_predicate(spec: RuleSpec) -> CriticalPredicate:
                 return is_necklace_value(rotate_left_value(w, m, s), m)
         return False
 
-    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+    if side == "psi":
         top = 1 << (m - 1)
 
         def critical(v: int) -> bool:
@@ -287,7 +295,7 @@ def _index_of_jth_one(x: int, m: int, j: int) -> int:
 def _mark_ranks(spec: RuleSpec) -> List[int]:
     """j[c] = (c - e(c)) mod c + 1, c in 1..n-1: which counted bit of a
     necklace with c of them starts spec's mark in its class (_mark_shift)."""
-    e = _exponents(spec.kind, spec.n, spec.kset, spec.k)
+    e = spec.exponents
     return [0] + [(c - e[c]) % c + 1 for c in range(1, spec.n)]
 
 
@@ -300,12 +308,15 @@ def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
     (theta) rotates to the first 0 after position 0, and leaves a tail with
     no such 0 as it is.  tests/test_rules.py's definitional_predicate
     applies them as the paper defines them, the reference for this rule."""
-    m = spec.n - 1
-    if spec.kind is RuleKind.SALA:
+    if spec.kind.side == "sala":
         return lambda x: 0
-    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    return _rank_shift(spec.n - 1, spec.kind.side == "upsilon", _mark_ranks(spec))
+
+
+def _rank_shift(m: int, upsilon: bool, j: List[int]) -> Callable[[int], int]:
+    """shift(x) for an m-bit x with c ones (psi) or c zeros (upsilon): the
+    index of its j[c]-th such bit, plus 1 for upsilon; 0 for a constant x."""
     flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
-    j = _mark_ranks(spec)
 
     def shift(x: int) -> int:
         y = x ^ flip  # psi counts x's ones, upsilon its zeros
@@ -329,11 +340,9 @@ def _marks(m: int, upsilon: bool, c: int, j: int) -> array:
     """_mark_shift's marks in the classes whose necklace has c ones (psi) or c
     zeros (upsilon), 0 < c < m: one read-only group for all specs with j[c] = j.
     The cache holds every (c, j) of psi, or of upsilon, up to the family cap."""
-    flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
-    return array("I", (
-        rotate_left_value(x, m, _index_of_jth_one(x ^ flip, m, j) + lag)
-        for x in _by_weight(m)[m - c if upsilon else c]
-    ))
+    shift = _rank_shift(m, upsilon, [j] * m)  # every x in the group has count c
+    group = _by_weight(m)[m - c if upsilon else c]
+    return array("I", (rotate_left_value(x, m, shift(x)) for x in group))
 
 
 def _critical_table(spec: RuleSpec) -> bytes:
@@ -346,11 +355,10 @@ def _critical_table(spec: RuleSpec) -> bytes:
     m = spec.n - 1
     mask = (1 << m) - 1
     necklaces, _, conecklaces = _fkm_walk(m)
-    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    sala, upsilon = spec.kind.side == "sala", spec.kind.side == "upsilon"
     table = bytearray(mask + 1)
     for x in conecklaces:
         table[x ^ mask if upsilon else x] = 1
-    sala = spec.kind is RuleKind.SALA
     groups = () if sala else map(partial(_marks, m, upsilon), range(1, m), _mark_ranks(spec)[1:])
     for t in chain(necklaces if sala else (0, mask), *groups):
         table[t] = 1
@@ -503,10 +511,8 @@ def _ccr_offset(spec: RuleSpec) -> Callable[[int], Tuple[int, int]]:
     upsilon reads window k as y, window k - 1 (at a 1) with that 1 cleared."""
     m = spec.n - 1
     mask, m2, m3 = (1 << m) - 1, 2 * m, 3 * m
-    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
-    sala = spec.kind is RuleKind.SALA
-    e = [] if sala else _exponents(spec.kind, spec.n, spec.kset, spec.k)
-    e = [x or z for z, x in enumerate(e)] if upsilon else e
+    sala, upsilon = spec.kind.side == "sala", spec.kind.side == "upsilon"
+    e = [x or z for z, x in enumerate(spec.exponents)] if upsilon else spec.exponents
     lag = 1 if upsilon else 0
     span = [(1 << (m - L + 1)) - 1 for L in range(m + 2)]
 
@@ -607,7 +613,7 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     mask = (1 << m) - 1
     critical = critical_predicate(spec)
     shift = _mark_shift(spec)
-    upsilon = spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2)
+    upsilon = spec.kind.side == "upsilon"
 
     def offset(u: int) -> int:
         a, x, p = _least_rotation(u, m)  # N = x is u rotated left by a

@@ -496,6 +496,14 @@ class TestReproduceTablesScript:
         assert proc.stdout == ""
         assert proc.stderr == f"error: family order must be in [3, 11], got {n}\n"
 
+    @pytest.mark.parametrize("n", ["\u0666", "1_0"])  # ARABIC-INDIC DIGIT SIX
+    def test_order_takes_the_cli_decimal_syntax(self, n):
+        proc = run_process("--n", n, program=self.SCRIPT)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"error: argument --n: expected a decimal integer, got {n!r}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_reader_closing_stdout_early_exits_0_quietly(self):
         # unbuffered, so the script is still writing after head has gone
         command = f"PYTHONUNBUFFERED=1 {shlex.join(self.SCRIPT)} | head -1"

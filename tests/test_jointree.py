@@ -97,13 +97,13 @@ def designated_member(kind, n, lo, hi, nodes, index_of):
       representative only as 0^n, whose cycle is the root.
     """
     mask = (1 << n) - 1
-    if kind is RuleKind.SALA:
+    if kind.side == "sala":
         if prr_step_value(hi, n, mask) == nodes[index_of[hi]].representative.value:
             return hi
         raise NotSpanningError(
             f"cannot orient conjugate pair ({State(lo, n)}, {State(hi, n)})"
         )
-    if kind in (RuleKind.PSI1, RuleKind.PSI2):
+    if kind.side == "psi":
         return lo if prr_step_value(lo, n, mask) & 1 else hi
     return lo
 
@@ -179,7 +179,7 @@ def verify_by_pairs(spec, critical=None):
     """The oracle's nodes, edges, root, DOT, summary and order failures."""
     nodes, edges, root = extract_tree_by_pairs(spec, critical)
     failures: List[str] = []
-    if spec.kind in (RuleKind.SALA, RuleKind.PSI1, RuleKind.PSI2):
+    if spec.kind.side != "upsilon":
         for e in edges:
             p = nodes[e.parent].representative
             c = nodes[e.child].representative
@@ -223,10 +223,10 @@ def seeded_specs(rng, n):
     """One spec per family at order n, with kset and k drawn from rng."""
     specs = []
     for kind in RuleKind:
-        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+        if kind.param == "kset":
             middle = [c for c in range(2, n - 1) if rng.random() < 0.5]
             specs.append(RuleSpec(kind, n, kset=(1, *middle, n)))
-        elif kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+        elif kind.param == "k":
             valid = exponent_range(kind, n)
             specs.append(RuleSpec(kind, n, k=rng.randint(valid[0], valid[-1])))
         else:
@@ -420,7 +420,7 @@ class TestOrientation:
                 assert index_of[upsilon] == index_of[upsilon_landmark] == index_of[lo], (n, lo)
             # sala orients (0^n, 10^(n-1)) away from 0^n, and 01^(n-1) lies
             # in the least complementing cycle.
-            assert _child_members(RuleKind.SALA, n, [0], nodes, index_of) == [top]
+            assert list(_child_members(RuleKind.SALA, n, [0], nodes, index_of)) == [top]
             least_ccr = min(i for i, c in enumerate(nodes) if c.kind is CycleKind.CCR)
             assert index_of[top - 1] == least_ccr
 

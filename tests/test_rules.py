@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import os
@@ -33,7 +34,6 @@ from prrseq.rules import (
     _arcs,
     _ccr_offset,
     _critical_table,
-    _exponents,
     _index_of_jth_one,
     _least_rotation,
     _mark_shift,
@@ -63,10 +63,10 @@ def draw_spec(data, kind, lo=25):
     """A random spec of the given kind at an order in [lo, 64], by default
     above every whole-sequence check."""
     n = data.draw(st.integers(lo, 64), label="n")
-    if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+    if kind.param == "kset":
         middle = data.draw(st.sets(st.integers(2, n - 2)), label="middle")
         return RuleSpec(kind, n, kset=(1, *sorted(middle), n))
-    if kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+    if kind.param == "k":
         valid = exponent_range(kind, n)
         return RuleSpec(kind, n, k=data.draw(st.integers(valid[0], valid[-1]), label="k"))
     return RuleSpec(kind, n)
@@ -216,6 +216,70 @@ class TestSpecParsing:
             RuleSpec.parse("psi2:n=6:k=13")
 
 
+def defined_exponents(spec):
+    """e[c] for c in 1..n-1 as the rules' definitions state them."""
+    if spec.kind.side == "sala":
+        return ()
+    exponent = {
+        "psi1": lambda c: max(x for x in spec.kset if x <= c),
+        "upsilon1": lambda c: max(x for x in spec.kset if x <= c) - 1,
+        "psi2": lambda c: (spec.k - 2) % c + 1,
+        "upsilon2": lambda c: (spec.k - 1) % c,
+    }[spec.kind.value]
+    return (0, *map(exponent, range(1, spec.n)))
+
+
+class TestKindFacts:
+    """What each kind decides once: the tail side it marks, the field that
+    picks a rule, and each spec's exponent table."""
+
+    def test_side_partitions_the_kinds(self):
+        sides = {}
+        for kind in RuleKind:
+            sides.setdefault(kind.side, set()).add(kind)
+        assert sides == {
+            "sala": {RuleKind.SALA},
+            "psi": {RuleKind.PSI1, RuleKind.PSI2},
+            "upsilon": {RuleKind.UPSILON1, RuleKind.UPSILON2},
+        }
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    def test_param_is_the_one_field_the_grammar_takes(self, kind):
+        fields = {"kset": ":kset=1,6", "k": ":k=1", None: ""}
+        for param, field in fields.items():
+            text = f"{kind.value}:n=6{field}"
+            if param == kind.param:
+                assert RuleSpec.parse(text).spec_string() == text
+            else:
+                with pytest.raises(SpecSyntaxError):
+                    RuleSpec.parse(text)
+
+    def test_exponent_range_takes_the_kind_or_its_value(self):
+        # as all_specs and family_size do; a value once read as upsilon2's range
+        assert exponent_range("psi2", 6) == exponent_range(RuleKind.PSI2, 6) == range(1, 13)
+        assert exponent_range("upsilon2", 6) == range(0, 12)
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_exponents_of_every_spec_match_the_definitions(self, n):
+        for kind in RuleKind:
+            for spec in all_specs(kind, n):
+                assert spec.exponents == defined_exponents(spec), spec
+
+    @pytest.mark.parametrize("kind", list(RuleKind))
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_exponents_of_drawn_specs_match_the_definitions(self, kind, data):
+        spec = draw_spec(data, kind, lo=12)
+        assert spec.exponents == defined_exponents(spec)
+
+    def test_exponents_are_built_once_and_stay_out_of_equality(self):
+        read, fresh = RuleSpec.parse("psi2:n=9:k=5"), RuleSpec.parse("psi2:n=9:k=5")
+        assert read.exponents is read.exponents
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert "exponents" not in repr(read)
+        assert [f.name for f in dataclasses.fields(RuleSpec)] == ["kind", "n", "kset", "k"]
+
+
 class TestCriticalSets:
     def test_sala_examples(self):
         sala = RuleSpec(RuleKind.SALA, 6)
@@ -294,7 +358,7 @@ class TestCriticalSets:
         crit = critical_predicate(spec)
         n = spec.n
         m, top = n - 1, 1 << (n - 1)
-        if kind is RuleKind.SALA:
+        if kind.side == "sala":
             # one necklace per rotation class and one co-necklace per
             # complement-rotation class of the tail, and both are critical
             u = data.draw(st.integers(0, (1 << m) - 1), label="tail")
@@ -309,7 +373,7 @@ class TestCriticalSets:
             accepted = necklaces + conecklaces
             assert all(crit(w) for w in accepted)
         else:
-            psi = kind in (RuleKind.PSI1, RuleKind.PSI2)
+            psi = kind.side == "psi"
             lead = 1 << (m - 1) if psi else 0  # psi words start with 1, upsilon with 0
             u = lead | data.draw(st.integers(0, (1 << (m - 1)) - 1), label="tail")
             rotations = {rotate_left_value(u, m, r) for r in range(m)}
@@ -470,10 +534,10 @@ def definitional_predicate(spec):
     def conecklace(u):
         return is_necklace_value((u << m) | (u ^ mask), 2 * m)
 
-    if spec.kind is RuleKind.SALA:
+    if spec.kind.side == "sala":
         return lambda v: is_necklace_value(v & mask, m) or conecklace(v & mask)
-    e = _exponents(spec.kind, n, spec.kset, spec.k)
-    if spec.kind in (RuleKind.PSI1, RuleKind.PSI2):
+    e = spec.exponents
+    if spec.kind.side == "psi":
 
         def critical(v):
             u = v & mask
@@ -555,10 +619,10 @@ def _seeded_specs(rng, n):
     """One spec per family at order n, with kset and k drawn from rng."""
     specs = []
     for kind in RuleKind:
-        if kind in (RuleKind.PSI1, RuleKind.UPSILON1):
+        if kind.param == "kset":
             middle = [c for c in range(2, n - 1) if rng.random() < 0.5]
             specs.append(RuleSpec(kind, n, kset=(1, *middle, n)))
-        elif kind in (RuleKind.PSI2, RuleKind.UPSILON2):
+        elif kind.param == "k":
             valid = exponent_range(kind, n)
             specs.append(RuleSpec(kind, n, k=rng.randint(valid[0], valid[-1])))
         else:
@@ -625,7 +689,7 @@ class TestCriticalTables:
         m = spec.n - 1
         mask = (1 << m) - 1
         necklaces, _, conecklaces = _fkm_walk(m)
-        flip = mask if spec.kind in (RuleKind.UPSILON1, RuleKind.UPSILON2) else 0
+        flip = mask if spec.kind.side == "upsilon" else 0
         table = bytearray(mask + 1)
         for x in conecklaces:
             table[x ^ flip] = 1
@@ -710,14 +774,14 @@ class TestClassKernels:
         mask = (1 << m) - 1
         classes = {x: {rotate_left_value(x, m, r) for r in range(m)} for x in _fkm_walk(m)[0]}
         for kind in RuleKind:
-            if kind in (RuleKind.UPSILON1, RuleKind.UPSILON2):
+            if kind.side == "upsilon":
                 selector_side = lambda t: not t & 1  # noqa: E731
             else:
                 selector_side = lambda t: t >> (m - 1)  # noqa: E731
             for spec in all_specs(kind, n):
                 shift, definition = _mark_shift(spec), definitional_predicate(spec)
                 for x, tails in classes.items():
-                    if kind is RuleKind.SALA or x in (0, mask):
+                    if kind.side == "sala" or x in (0, mask):
                         assert shift(x) == 0 and definition(x), (spec, x)
                         continue
                     marks = {t for t in tails if selector_side(t) and definition(t)}
