@@ -9,6 +9,7 @@ the cycle reads smallest.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -80,16 +81,19 @@ def is_conecklace_value(v: int, m: int) -> bool:
 
 
 @lru_cache(maxsize=4)
-def _fkm_walk(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-    """The binary necklaces of length m, their periods, and the co-necklaces
-    of length m, each in increasing order, from one iterative FKM walk
-    (Ruskey, Savage and Wang, 1992): the next prenecklace raises the last 0
-    to 1 and repeats the prefix that ends there, and the prenecklaces whose
-    period p divides m are the necklaces.  A co-necklace C is a prenecklace
-    too, as C followed by its complement is a necklace, which ends with 1,
-    so C ends with 0: only those prenecklaces are tested."""
+def _fkm_walk(m: int) -> Tuple[array, array, array, Tuple[array, ...]]:
+    """The binary necklaces of length m, their periods, the co-necklaces of
+    length m, and the necklaces grouped by number of ones (arrays 'I', 'B',
+    'I', and one 'I' per weight 0..m; read only, each in increasing order),
+    from one iterative FKM walk (Ruskey, Savage and Wang, 1992): the next
+    prenecklace raises the last 0 to 1 and repeats the prefix that ends
+    there, and the prenecklaces whose period p divides m are the necklaces.
+    A co-necklace C is a prenecklace too, as C followed by its complement is
+    a necklace, which ends with 1, so C ends with 0: only those prenecklaces
+    are tested."""
     mask = (1 << m) - 1
-    necklaces, periods, conecklaces = [0], [1], [0]
+    necklaces, periods, conecklaces = array("I", [0]), array("B", [1]), array("I", [0])
+    groups = (array("I", [0]), *(array("I") for _ in range(m)))
     x = 0
     while x != mask:
         b = (~x & (x + 1)).bit_length() - 1  # the last 0, counted from the right
@@ -99,9 +103,10 @@ def _fkm_walk(m: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]
         if m % p == 0:
             necklaces.append(x)
             periods.append(p)
+            groups[x.bit_count()].append(x)
         if not x & 1 and is_conecklace_value(x, m):
             conecklaces.append(x)
-    return tuple(necklaces), tuple(periods), tuple(conecklaces)
+    return necklaces, periods, conecklaces, groups
 
 
 def is_necklace(u: State) -> bool:

@@ -14,7 +14,9 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import eq, or_
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .core import State
 from .registers import (
@@ -162,8 +164,8 @@ def extract_tree(
     deviations = array("Q", filter(critical, range(2 * top)))
     # Sorted, so the pairs' lo come first and their hi follow in the same order.
     h = bisect_left(deviations, top)
-    lows = deviations[:h]
-    if deviations[h:] != array("Q", (v | top for v in lows)):
+    lows, highs = memoryview(deviations)[:h], memoryview(deviations)[h:]
+    if len(highs) != h or not all(map(eq, map(or_, lows, repeat(top)), highs)):
         marked = set(deviations)
         v = next(v for v in deviations if v ^ top not in marked)
         raise NotPairedError(
@@ -175,17 +177,19 @@ def extract_tree(
             f"{len(deviations)} critical states cannot span {z} cycles "
             f"(need exactly {2 * (z - 1)})"
         )
-    parent_of: List[Optional[int]] = [None] * z
-    member_of = array("Q", bytes(8 * z))
+    designated = bytearray(z)
+    member_of = array("Q", [0]) * z
     for v in _child_members(spec.kind, n, lows, nodes, index_of):
         c = index_of[v]
-        if parent_of[c] is not None:
+        if designated[c]:
             raise NotSpanningError(
                 f"cycle ({nodes[c].representative}) is designated by "
                 f"two conjugate pairs"
             )
-        parent_of[c] = ids[index_of[v ^ top]]
+        designated[c] = 1
         member_of[c] = v
+    del deviations, lows, highs  # read no more: freed before the parents are built
+    parent_of = tuple(ids[index_of[v ^ top]] if d else None for d, v in zip(designated, member_of))
     # z - 1 distinct children leave exactly one root.
     root = parent_of.index(None)
     reached = bytearray(z)
@@ -202,7 +206,7 @@ def extract_tree(
             j = parent_of[j]
         for j in path:
             reached[j] = 1
-    return CycleTree(nodes=nodes, parents=tuple(parent_of), members=member_of, root=root)
+    return CycleTree(nodes=nodes, parents=parent_of, members=member_of, root=root)
 
 
 @dataclass(frozen=True)

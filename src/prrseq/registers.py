@@ -180,10 +180,8 @@ def decompose(n: int) -> CycleStructure:
     check_order(n, "decompose")
     m = n - 1
     mask = (1 << m) - 1
-    necklaces, periods, conecklaces = _fkm_walk(m)
-    pcr = CycleArray(
-        n, array("Q", ((x << 1) | (x >> (m - 1)) for x in necklaces)), array("B", periods)
-    )
+    necklaces, periods, conecklaces, _ = _fkm_walk(m)
+    pcr = CycleArray(n, array("Q", ((x << 1) | (x >> (m - 1)) for x in necklaces)), periods[:])
     # Rotating C.~C by m complements it, so its period is 2m/d for an odd d | m.
     shifts = [2 * m // d for d in range(m, 0, -1) if m % d == 0 and d & 1]
     ccr_periods = array("B")

@@ -32,7 +32,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from operator import getitem
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .canonical import _fkm_walk, _longest_zero_runs, is_conecklace_value, is_necklace_value
 from .core import State, rotate_left_value
@@ -292,56 +292,33 @@ def _index_of_jth_one(x: int, m: int, j: int) -> int:
     return lo
 
 
-def _mark_ranks(spec: RuleSpec) -> List[int]:
-    """j[c] = (c - e(c)) mod c + 1, c in 1..n-1: which counted bit of a
-    necklace with c of them starts spec's mark in its class (_mark_shift)."""
-    e = spec.exponents
-    return [0] + [(c - e[c]) % c + 1 for c in range(1, spec.n)]
-
-
-def _mark_shift(spec: RuleSpec) -> Callable[[int], int]:
-    """An (n-1)-bit necklace x rotated left by shift(x) is spec's mark in x's
-    rotation class, the tail that e(c) advances take to x.  Psi: x's j[c]-th
-    of c ones; upsilon: one past its j[z]-th of z zeros; sala, constant x: 0.
+def _mark_shift(m: int, upsilon: bool, e: Sequence[int]) -> Callable[[int], int]:
+    """An m-bit necklace x rotated left by shift(x) is the mark in its class
+    of the rule with exponent table e (RuleSpec.exponents), the tail that
+    e(c) advances take to x.  Psi: x's j-th of c ones; upsilon: one past its
+    j-th of c zeros, j = (c - e(c)) mod c + 1; sala (e empty), constant x: 0.
 
     A psi advance (lambda) rotates past the first 1; an upsilon advance
     (theta) rotates to the first 0 after position 0, and leaves a tail with
     no such 0 as it is.  tests/test_rules.py's definitional_predicate
     applies them as the paper defines them, the reference for this rule."""
-    if spec.kind.side == "sala":
-        return lambda x: 0
-    return _rank_shift(spec.n - 1, spec.kind.side == "upsilon", _mark_ranks(spec))
-
-
-def _rank_shift(m: int, upsilon: bool, j: List[int]) -> Callable[[int], int]:
-    """shift(x) for an m-bit x with c ones (psi) or c zeros (upsilon): the
-    index of its j[c]-th such bit, plus 1 for upsilon; 0 for a constant x."""
     flip, lag = ((1 << m) - 1, 1) if upsilon else (0, 0)
 
     def shift(x: int) -> int:
         y = x ^ flip  # psi counts x's ones, upsilon its zeros
         c = y.bit_count()
-        return _index_of_jth_one(y, m, j[c]) + lag if 0 < c < m else 0
+        return _index_of_jth_one(y, m, (c - e[c]) % c + 1) + lag if e and 0 < c < m else 0
 
     return shift
 
 
-@lru_cache(maxsize=4)
-def _by_weight(m: int) -> List[array]:
-    """The m-bit necklaces grouped by their number of ones, once per order; read only."""
-    groups = [array("I") for _ in range(m + 1)]
-    for x in _fkm_walk(m)[0]:
-        groups[x.bit_count()].append(x)
-    return groups
-
-
 @lru_cache(maxsize=math.comb(ORDER_LIMITS["family"][1] - 1, 2))
-def _marks(m: int, upsilon: bool, c: int, j: int) -> array:
+def _marks(m: int, upsilon: bool, c: int, ec: int) -> array:
     """_mark_shift's marks in the classes whose necklace has c ones (psi) or c
-    zeros (upsilon), 0 < c < m: one read-only group for all specs with j[c] = j.
-    The cache holds every (c, j) of psi, or of upsilon, up to the family cap."""
-    shift = _rank_shift(m, upsilon, [j] * m)  # every x in the group has count c
-    group = _by_weight(m)[m - c if upsilon else c]
+    zeros (upsilon), 0 < c < m: one read-only group for all specs with e(c) = ec.
+    The cache holds every (c, ec) of psi, or of upsilon, up to the family cap."""
+    shift = _mark_shift(m, upsilon, [ec] * m)  # every x in the group has count c
+    group = _fkm_walk(m)[3][m - c if upsilon else c]
     return array("I", (rotate_left_value(x, m, shift(x)) for x in group))
 
 
@@ -354,12 +331,12 @@ def _critical_table(spec: RuleSpec) -> bytes:
     check_order(spec.n, "table")
     m = spec.n - 1
     mask = (1 << m) - 1
-    necklaces, _, conecklaces = _fkm_walk(m)
+    necklaces, _, conecklaces, _ = _fkm_walk(m)
     sala, upsilon = spec.kind.side == "sala", spec.kind.side == "upsilon"
     table = bytearray(mask + 1)
     for x in conecklaces:
         table[x ^ mask if upsilon else x] = 1
-    groups = () if sala else map(partial(_marks, m, upsilon), range(1, m), _mark_ranks(spec)[1:])
+    groups = () if sala else map(partial(_marks, m, upsilon), range(1, m), spec.exponents[1:m])
     for t in chain(necklaces if sala else (0, mask), *groups):
         table[t] = 1
     return bytes(table)
@@ -612,8 +589,8 @@ def _pcr_offset(spec: RuleSpec) -> Callable[[int], int]:
     m = spec.n - 1
     mask = (1 << m) - 1
     critical = critical_predicate(spec)
-    shift = _mark_shift(spec)
     upsilon = spec.kind.side == "upsilon"
+    shift = _mark_shift(m, upsilon, spec.exponents)
 
     def offset(u: int) -> int:
         a, x, p = _least_rotation(u, m)  # N = x is u rotated left by a

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -205,3 +206,21 @@ class TestFkmWalk:
             assert list(conecklaces) == [v for v in range(1 << m) if is_conecklace_value(v, m)]
             if m >= 2:
                 assert len(conecklaces) == count_cycles(m + 1).ccr
+
+    def test_groups_partition_the_necklaces_by_weight(self):
+        for m in range(1, 17):
+            necklaces, _, _, groups = _fkm_walk(m)
+            assert len(groups) == m + 1
+            for c, group in enumerate(groups):
+                assert list(group) == [x for x in necklaces if x.bit_count() == c], (m, c)
+
+    def test_holds_at_most_sixteen_bytes_per_necklace(self):
+        # four arrays of machine words: a tuple of ints would take about 67
+        _fkm_walk.cache_clear()
+        tracemalloc.start()
+        try:
+            necklaces = _fkm_walk(17)[0]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * len(necklaces), held / len(necklaces)

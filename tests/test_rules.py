@@ -630,19 +630,85 @@ def _seeded_specs(rng, n):
     return specs
 
 
+def _slice_classes(m):
+    """Side -> the m-bit tails by the class count c at which _scan_predicate
+    reads e: the ones of a psi tail that starts with 1, the zeros of y = u >> 1
+    for an upsilon tail u that ends with 0.  c = 0 holds the tails whose
+    verdict reads no e: the co-necklace tests, the constant tails, and every
+    sala tail."""
+    mask = (1 << m) - 1
+    psi, upsilon = [[] for _ in range(m)], [[] for _ in range(m)]
+    for u in range(1 << m):
+        psi[u.bit_count() if u >> (m - 1) and u != mask else 0].append(u)
+        upsilon[m - u.bit_count() if u and not u & 1 else 0].append(u)
+    return {"sala": [range(1 << m)], "psi": psi, "upsilon": upsilon}
+
+
+def _sliced_scans(n):
+    """spec -> _scan_predicate(spec) over all 2^n states, pieced together:
+    the verdict on a tail reads the spec only through e(c), so each side's
+    class-0 tails and each (side, c, e(c)) slice are scanned once, by the
+    first spec that reads them, and the critical tails OR into each spec's
+    flags, doubled as the states' last n - 1 bits."""
+    m = n - 1
+    classes, slices = _slice_classes(m), {}
+
+    def scanned(spec):
+        side, e = spec.kind.side, spec.exponents
+        flags = bytearray(1 << m)
+        for c, tails in enumerate(classes[side]):
+            key = (side, c, e[c] if c else None)
+            if key not in slices:
+                slices[key] = list(filter(_scan_predicate(spec), tails))
+            for u in slices[key]:
+                flags[u] = 1
+        return bytes(flags) * 2
+
+    return scanned
+
+
 class TestCriticalTables:
     """The per-order tables, built from the necklaces, against the
     per-state test they replace up to the table cap."""
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_every_spec_agrees_with_the_scan_on_every_state(self, n):
-        # the table covers the n-1 tail bits, so doubled it covers every state
+        # the table covers the n-1 tail bits, so doubled it covers every state;
+        # from n = 11 each spec's scan is pieced from slices scanned once
         pairs = count_cycles(n).total - 1
+        if n > 10:
+            scanned = _sliced_scans(n)
+        else:
+            scanned = lambda spec: bytes(map(_scan_predicate(spec), range(1 << n)))  # noqa: E731
         for kind in RuleKind:
             for spec in all_specs(kind, n):
                 states = _critical_table(spec) * 2
-                assert bytes(map(_scan_predicate(spec), range(1 << n))) == states, spec
+                assert scanned(spec) == states, spec
                 assert states.count(1) == 2 * pairs
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_specs_that_share_an_exponent_share_the_scan_of_its_class(self, n):
+        # what _sliced_scans rests on: drawn pairs of one side agree on the
+        # tails of each class c at which their e(c) agree (up to 300 drawn)
+        rng = random.Random(n)
+        m = n - 1
+        specs = _seeded_specs(rng, n) + _seeded_specs(rng, n)
+        classes = _slice_classes(m)
+        shared = hits = 0
+        for a, b in itertools.combinations(specs, 2):
+            side = a.kind.side
+            if side == "sala" or b.kind.side != side:
+                continue
+            scan_a, scan_b = _scan_predicate(a), _scan_predicate(b)
+            for c, tails in enumerate(classes[side][1:], 1):
+                if a.exponents[c] != b.exponents[c]:
+                    continue
+                shared += c > 1
+                tails = rng.sample(tails, min(len(tails), 300))
+                verdicts = [bool(scan_a(u)) for u in tails]
+                assert verdicts == [bool(scan_b(u)) for u in tails], (a, b, c)
+                hits += sum(verdicts)
+        assert shared and hits, (shared, hits)
 
     @pytest.mark.parametrize("n", range(13, 21))
     def test_seeded_specs_agree_with_the_scan(self, n):
@@ -688,12 +754,12 @@ class TestCriticalTables:
         necklace rotated by _mark_shift, spec by spec."""
         m = spec.n - 1
         mask = (1 << m) - 1
-        necklaces, _, conecklaces = _fkm_walk(m)
+        necklaces, _, conecklaces, _ = _fkm_walk(m)
         flip = mask if spec.kind.side == "upsilon" else 0
         table = bytearray(mask + 1)
         for x in conecklaces:
             table[x ^ flip] = 1
-        shift = _mark_shift(spec)
+        shift = _mark_shift(m, spec.kind.side == "upsilon", spec.exponents)
         for x in necklaces:
             table[rotate_left_value(x, m, shift(x))] = 1
         return bytes(table)
@@ -712,7 +778,7 @@ class TestCriticalTables:
 
     def test_a_sweep_builds_each_mark_group_once_within_the_bound(self):
         # a psi2 spec reads n - 2 weight classes, and its sweep (n - 2)(n - 1)/2
-        # (c, j) groups in all: up to the family cap they fit in the cache,
+        # (c, e(c)) groups in all: up to the family cap they fit in the cache,
         # so each is built once and then shared
         _marks.cache_clear()
         for n, groups in ((9, 28), (11, 45)):
@@ -779,7 +845,8 @@ class TestClassKernels:
             else:
                 selector_side = lambda t: t >> (m - 1)  # noqa: E731
             for spec in all_specs(kind, n):
-                shift, definition = _mark_shift(spec), definitional_predicate(spec)
+                shift = _mark_shift(m, kind.side == "upsilon", spec.exponents)
+                definition = definitional_predicate(spec)
                 for x, tails in classes.items():
                     if kind.side == "sala" or x in (0, mask):
                         assert shift(x) == 0 and definition(x), (spec, x)
